@@ -210,27 +210,80 @@ class ProofNode:
 
     # -- metrics / rendering ----------------------------------------------------
 
+    def _fixed_shape(self) -> tuple[int, dict[str, int]] | None:
+        """``(count_nodes, rule_histogram)`` of this subtree when it is
+        known without walking :meth:`premises` (``None``: walk them)."""
+        return None
+
+    def _shape(self) -> tuple[int, dict[str, int]]:
+        """Node count and rule histogram, in one pass over the proof DAG.
+
+        Sub-proofs may be shared (compositional certificates reuse one
+        node under many parents), so each distinct node is visited once
+        and weighted by its multiplicity, the number of root-to-node
+        paths: the figures are those of the tree with sharing expanded.
+        Nodes with a :meth:`_fixed_shape` contribute it without being
+        walked.  Iterative, so proof depth is bounded by memory only.
+        """
+        nodes = {id(self): self}
+        fixed: dict[int, tuple[int, dict[str, int]] | None] = {}
+        kids: dict[int, tuple[ProofNode, ...]] = {}
+        parents = {id(self): 0}
+        todo: list[ProofNode] = [self]
+        while todo:
+            node = todo.pop()
+            key = id(node)
+            fixed[key] = node._fixed_shape()
+            kids[key] = () if fixed[key] is not None else tuple(node.premises())
+            for sub in kids[key]:
+                if id(sub) in nodes:
+                    parents[id(sub)] += 1
+                else:
+                    nodes[id(sub)] = sub
+                    parents[id(sub)] = 1
+                    todo.append(sub)
+        # Kahn order: a node's multiplicity is final once every parent
+        # has passed its own on.
+        paths = {id(self): 1}
+        ready = [id(self)]
+        count = 0
+        hist: dict[str, int] = {}
+        while ready:
+            key = ready.pop()
+            m = paths[key]
+            n_sub, sub_hist = fixed[key] or (1, {nodes[key].rule_name: 1})
+            count += m * n_sub
+            for rule, k in sub_hist.items():
+                hist[rule] = hist.get(rule, 0) + m * k
+            for sub in kids[key]:
+                s = id(sub)
+                paths[s] = paths.get(s, 0) + m
+                parents[s] -= 1
+                if not parents[s]:
+                    ready.append(s)
+        return count, hist
+
     def count_nodes(self) -> int:
-        """Total rule applications in the tree."""
-        return 1 + sum(p.count_nodes() for p in self.premises())
+        """Total rule applications in the tree (sharing expanded; a macro
+        rule counts itself plus its expansion)."""
+        return self._shape()[0]
 
     def rule_histogram(self) -> dict[str, int]:
-        """Rule-name → occurrence count (macro rules count as themselves;
-        use :meth:`repro.core.rules.Ensures.expand` to inspect primitives)."""
-        hist: dict[str, int] = {}
-        stack: list[ProofNode] = [self]
-        while stack:
-            node = stack.pop()
-            hist[node.rule_name] = hist.get(node.rule_name, 0) + 1
-            stack.extend(node.premises())
-        return hist
+        """Rule-name → occurrence count, with the same accounting as
+        :meth:`count_nodes`."""
+        return self._shape()[1]
 
     def render(self, indent: int = 0) -> str:
         """Indented multi-line rendering of the proof tree."""
-        pad = "  " * indent
-        lines = [f"{pad}{self.rule_name}: {self.conclusion_text()}"]
-        for sub in self.premises():
-            lines.append(sub.render(indent + 1))
+        lines = []
+        todo: list[tuple[ProofNode, int]] = [(self, indent)]
+        while todo:
+            node, depth = todo.pop()
+            if node is not self and type(node).render is not ProofNode.render:
+                lines.append(node.render(depth))
+                continue
+            lines.append(f"{'  ' * depth}{node.rule_name}: {node.conclusion_text()}")
+            todo.extend((sub, depth + 1) for sub in reversed(node.premises()))
         return "\n".join(lines)
 
     def __repr__(self) -> str:
@@ -522,8 +575,11 @@ class UniversalLift(SafetyProof):
             lines.append(sub.render(indent + 2))
         return "\n".join(lines)
 
-    def count_nodes(self) -> int:
-        return 1 + sum(sub.count_nodes() for _, sub in self.parts)
+    def _fixed_shape(self) -> tuple[int, dict[str, int]]:
+        # The component proofs count as nodes but stay out of the
+        # histogram: they are checked against their own programs.
+        count = 1 + sum(sub.count_nodes() for _, sub in self.parts)
+        return count, {self.rule_name: 1}
 
 
 class InitLift(SafetyProof):
@@ -573,8 +629,8 @@ class InitLift(SafetyProof):
             ProofFailure(f"{path}.{f.path}", f.message) for f in sub_result.failures
         )
 
-    def count_nodes(self) -> int:
-        return 1 + self.sub.count_nodes()
+    def _fixed_shape(self) -> tuple[int, dict[str, int]]:
+        return 1 + self.sub.count_nodes(), {self.rule_name: 1}
 
 
 class InitWeaken(SafetyProof):

@@ -22,6 +22,9 @@ plus two *derived* constructions used by the paper's priority proof:
   ``L_m ↝ (q ∨ L₁ ∨ … ∨ L_{m-1})`` for every ``m``, and ``p ⇒ q ∨ ⋁L``,
   conclude ``p ↝ q``.  (Derivable from Disjunction + Transitivity by meta-
   induction on ``M``; provided as a rule so certificates stay linear-size.)
+  Synthesized inductions are :class:`ColumnarInduction` records: the
+  level table alone, with the levels and ``Ensures`` premises built on
+  access.
 
 One extension leaves the paper's weak-fairness model:
 :class:`StrongTransientBasis` concludes ``true ↝ ¬q`` under **strong**
@@ -43,9 +46,12 @@ composition stacks whose encoded space dwarfs the dense capacity.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+import operator
+from collections.abc import Callable, Sequence
 
-from repro.core.predicates import Predicate, TRUE
+import numpy as np
+
+from repro.core.predicates import Predicate, SupportTable, TRUE
 from repro.core.proofs import (
     ProofCheckResult,
     ProofFailure,
@@ -65,6 +71,7 @@ __all__ = [
     "PSP",
     "Ensures",
     "MetricInduction",
+    "ColumnarInduction",
 ]
 
 
@@ -363,6 +370,10 @@ class Ensures(LeadsToProof):
     def premises(self) -> tuple[ProofNode, ...]:
         return (self.expand(),)
 
+    def _fixed_shape(self) -> tuple[int, dict[str, int]]:
+        # The expansion's shape is fixed; no need to build it to count it.
+        return ENSURES_NODES, _ensures_histogram(self.fairness, 1)
+
     def _local_check(self, program, result: ProofCheckResult, path: str) -> None:
         # All obligations live in the expansion; the macro node itself only
         # asserts that the expansion concludes p ↝ q, which is true by
@@ -373,6 +384,20 @@ class Ensures(LeadsToProof):
             result.failures.append(
                 ProofFailure(path, "expansion right-hand side is not equivalent to q")
             )
+
+
+#: Rule applications in one ``Ensures`` step: the macro node and the six
+#: nodes of its expansion.
+ENSURES_NODES = 7
+
+
+def _ensures_histogram(fairness: str, steps: int) -> dict[str, int]:
+    """Rule histogram of ``steps`` expanded ``Ensures`` steps."""
+    basis = StrongTransientBasis if fairness == "strong" else TransientBasis
+    rules = (Ensures, Disjunction, Transitivity, PSP, basis)
+    hist = {rule.rule_name: steps for rule in rules}
+    hist[Implication.rule_name] = 2 * steps
+    return hist
 
 
 class MetricInduction(LeadsToProof):
@@ -407,10 +432,8 @@ class MetricInduction(LeadsToProof):
         self.levels = tuple(levels)
         self.subs = tuple(subs)
         #: Optional :class:`~repro.core.predicates.SupportTable` the levels
-        #: are views of (attached by the synthesizer).  Purely an
-        #: annotation: checking never consults it, but the batched kernel
-        #: driver (:func:`repro.semantics.synthesis.
-        #: check_certificate_batched`) and introspection tools do.
+        #: are views of (set by :meth:`ColumnarInduction.tree`).  Purely
+        #: an annotation: checking never consults it.
         self.support_table = support_table
 
     def premises(self) -> tuple[ProofNode, ...]:
@@ -421,6 +444,11 @@ class MetricInduction(LeadsToProof):
 
     def rhs(self) -> Predicate:
         return self.q
+
+    def tree(self) -> "MetricInduction":
+        """The eager form, with every level and premise an object (this
+        proof itself; :class:`ColumnarInduction` builds one)."""
+        return self
 
     def _local_check(self, program, result: ProofCheckResult, path: str) -> None:
         from repro.semantics.checker import check_validity
@@ -460,3 +488,109 @@ class MetricInduction(LeadsToProof):
                     )
                 )
             lower = lower | lv
+
+
+class _LevelView(Sequence):
+    """A sized, indexable sequence whose items are built on access."""
+
+    __slots__ = ("_size", "_build")
+
+    def __init__(self, size: int, build: Callable[[int], object]) -> None:
+        self._size = size
+        self._build = build
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self._build(i) for i in range(*index.indices(self._size)))
+        i = operator.index(index)
+        if i < 0:
+            i += self._size
+        if not 0 <= i < self._size:
+            raise IndexError(f"level {index} out of range ({self._size} levels)")
+        return self._build(i)
+
+
+class ColumnarInduction(MetricInduction):
+    """A synthesized :class:`MetricInduction`, stored as columns.
+
+    The synthesizer's certificates are ladders of identical steps: level
+    ``n`` is a support set of one :class:`~repro.core.predicates.
+    SupportTable` and its premise is ``Ensures(level[n], q ∨ (levels
+    below n))``.  The level table therefore determines the whole proof,
+    and the record keeps only ``p``, ``q``, the fairness notion, the
+    table, and the SCC id of each level (``scc_ids``, which names the
+    level in its description).
+
+    ``levels`` and ``subs`` are lazy, sized, indexable views that build
+    the same :class:`~repro.core.predicates.SupportPredicate` and
+    :class:`Ensures` objects as the eager construction, on access;
+    :meth:`tree` builds the eager :class:`MetricInduction` at once.  The
+    per-level walk (:meth:`check`, :meth:`render`) works through the
+    views.  Node count and rule histogram are arithmetic: ``1 + 7n``
+    nodes for ``n`` levels.  The batched kernel
+    (:func:`repro.semantics.synthesis.check_certificate_batched`) reads
+    the table's columns directly.
+    """
+
+    def __init__(
+        self,
+        p: Predicate,
+        q: Predicate,
+        table: SupportTable,
+        scc_ids,
+        *,
+        fairness: str = "weak",
+        member_word: str = "states",
+    ) -> None:
+        # MetricInduction's constructor is not called: it stores eager
+        # level and premise tuples, which this record derives on demand.
+        if fairness not in ("weak", "strong"):
+            raise ProofError(f"unknown fairness notion {fairness!r}")
+        scc_ids = np.asarray(scc_ids, dtype=np.int64)
+        if scc_ids.shape != (table.n_levels,):
+            raise ProofError(
+                f"metric induction: {table.n_levels} levels but "
+                f"{scc_ids.shape[0]} SCC ids"
+            )
+        self.p = p
+        self.q = q
+        self.support_table = table
+        self.scc_ids = scc_ids
+        self.fairness = fairness
+        self.member_word = member_word
+        self.levels = _LevelView(table.n_levels, self.level)
+        self.subs = _LevelView(table.n_levels, self.premise)
+
+    @property
+    def n_levels(self) -> int:
+        return self.support_table.n_levels
+
+    def level(self, n: int) -> Predicate:
+        """Level ``n`` as a zero-copy view of the table."""
+        table = self.support_table
+        size = int(table.offsets[n + 1] - table.offsets[n])
+        return table.level_pred(
+            n, f"level[{n}] (scc #{int(self.scc_ids[n])}, {size} {self.member_word})"
+        )
+
+    def premise(self, n: int) -> Ensures:
+        """``Ensures(level[n], q ∨ (levels below n))``."""
+        below = self.support_table.prefix_pred(n, f"exit[{n}] (lower levels)")
+        return Ensures(self.level(n), self.q | below, fairness=self.fairness)
+
+    def tree(self) -> MetricInduction:
+        subs = [self.premise(n) for n in range(self.n_levels)]
+        levels = [sub.p for sub in subs]
+        return MetricInduction(
+            self.p, self.q, levels, subs, support_table=self.support_table
+        )
+
+    def _fixed_shape(self) -> tuple[int, dict[str, int]]:
+        n = self.n_levels
+        hist = {self.rule_name: 1}
+        if n:
+            hist.update(_ensures_histogram(self.fairness, n))
+        return 1 + ENSURES_NODES * n, hist

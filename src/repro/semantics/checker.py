@@ -303,9 +303,11 @@ def check_obligations_batched(program: Program, layout):
         n=space.size,
         p_mask=layout.p.mask(space),
         q_mask=layout.q.mask(space),
-        level_members=list(layout.level_members),
-        prefix_members=layout.prefix_members,
-        prefix_ranks=layout.prefix_ranks,
+        mem=layout.stacked,
+        lvl=layout.level_ids(),
+        n_levels=layout.n_levels,
+        prefix_members=layout.members,
+        prefix_ranks=layout.ranks,
         commands=commands,
         fair=fair,
         strong=layout.fairness == "strong",

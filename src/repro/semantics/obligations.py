@@ -35,13 +35,15 @@ members sit in one level-major table, so each obligation family becomes
 Everything else the per-level walk checks — the ``Ensures`` expansion's
 intermediate equalities, the implication leaves ``X ⇒ exit`` and
 ``L ∧ exit ⇒ exit``, the declared disjunction left-hand sides — is a
-predicate-calculus tautology *for any table contents* once the
-certificate has the synthesized shape (the driver verifies that shape
-structurally; see :func:`repro.semantics.synthesis.
-check_certificate_batched`).  The batched kernel therefore discharges
-exactly the same obligation set as the per-level oracle and counts it
-identically; ``tests/test_batched_check.py`` pins verdict equality on
-both tiers, including injected-fault certificates.
+predicate-calculus tautology *for any table contents*: the certificate
+is a :class:`~repro.core.rules.ColumnarInduction` record, whose format
+fixes that structure, and the driver
+(:func:`repro.semantics.synthesis.check_certificate_batched`) only
+checks that its columns form a table (:meth:`CertificateLayout.defect`).
+The batched kernel therefore discharges exactly the same obligation set
+as the per-level oracle and counts it identically;
+``tests/test_batched_check.py`` pins verdict equality on both tiers,
+including injected-fault certificates.
 
 The kernel is tier-agnostic: it works over a compact id universe
 (global indices on the dense tier, local ids on the sparse tier) through
@@ -72,30 +74,87 @@ __all__ = [
 
 @dataclass
 class CertificateLayout:
-    """The validated columnar view of a synthesized certificate.
+    """The columnar view of a synthesized certificate.
 
-    Extracted (and structurally verified) from a
-    :class:`~repro.core.rules.MetricInduction` tree by
-    :func:`repro.semantics.synthesis.check_certificate_batched`; consumed
-    by the tier adapters (:func:`repro.semantics.checker.
+    Read straight from the :class:`~repro.core.predicates.SupportTable`
+    of a :class:`~repro.core.rules.ColumnarInduction` record by
+    :func:`repro.semantics.synthesis.check_certificate_batched`;
+    consumed by the tier adapters (:func:`repro.semantics.checker.
     check_obligations_batched` and :func:`repro.semantics.sparse.checkers.
     check_obligations_batched_sparse`).
 
-    ``level_members[n]`` is level ``n``'s sorted global-index array (the
-    backing array of its :class:`~repro.core.predicates.SupportPredicate`);
-    ``prefix_members``/``prefix_ranks`` are the shared sorted columns of
-    the rank-gated exit ladder.  The two describe the *same* table for a
+    ``stacked``/``offsets`` are the level-major columns: level ``n``'s
+    sorted global indices are ``stacked[offsets[n]:offsets[n + 1]]``.
+    ``members``/``ranks`` are the globally sorted columns behind the
+    rank-gated exit ladder.  The two describe the *same* table for a
     healthy certificate, but the kernel treats them independently — an
-    injected inconsistency (corrupted member, broken rank gate) must be
-    refused, not assumed away.
+    injected inconsistency (corrupted member, broken rank gate, shifted
+    level offset) must be refused, not assumed away.
     """
 
     p: Predicate
     q: Predicate
-    level_members: list[np.ndarray]
-    prefix_members: np.ndarray
-    prefix_ranks: np.ndarray
+    stacked: np.ndarray
+    offsets: np.ndarray
+    members: np.ndarray
+    ranks: np.ndarray
     fairness: str
+
+    @classmethod
+    def of(cls, proof) -> "CertificateLayout":
+        """The layout of a :class:`~repro.core.rules.ColumnarInduction`."""
+        table = proof.support_table
+        return cls(
+            p=proof.p,
+            q=proof.q,
+            stacked=table.stacked,
+            offsets=table.offsets,
+            members=table.members,
+            ranks=table.ranks,
+            fairness=proof.fairness,
+        )
+
+    @property
+    def n_levels(self) -> int:
+        return int(self.offsets.shape[0] - 1)
+
+    def level_ids(self) -> np.ndarray:
+        """The level of each ``stacked`` entry."""
+        return np.repeat(
+            np.arange(self.n_levels, dtype=np.int64), np.diff(self.offsets)
+        )
+
+    def defect(self, size: int) -> str | None:
+        """Why the columns are not a table over ``[0, size)``, or ``None``.
+
+        The kernel's lookups need what :class:`~repro.core.predicates.
+        SupportTable` establishes on construction: offsets partitioning
+        the level-major column, each level strictly increasing, the
+        sorted column strictly increasing, every index in range.  The
+        contents (which state sits in which level, and with which rank)
+        are what the kernel checks.
+        """
+        off, stacked = self.offsets, self.stacked
+        if (
+            off.ndim != 1
+            or off.shape[0] == 0
+            or off[0] != 0
+            or off[-1] != stacked.shape[0]
+            or np.any(np.diff(off) < 0)
+        ):
+            return "level offsets do not partition the level-major column"
+        for col in (stacked, self.members):
+            if col.size and (col.min() < 0 or col.max() >= size):
+                return f"a member lies outside [0, {size})"
+        rising = np.diff(stacked) > 0
+        cuts = off[1:-1]
+        rising[cuts[(cuts > 0) & (cuts < stacked.shape[0])] - 1] = True
+        if not rising.all():
+            return "a level's members are not strictly increasing"
+        paired = self.ranks.shape == self.members.shape
+        if not paired or np.any(np.diff(self.members) <= 0):
+            return "the exit-ladder columns are not a sorted (member, rank) pair"
+        return None
 
 
 def _rank_lookup(
@@ -132,7 +191,9 @@ def check_columnar_obligations(
     n: int,
     p_mask: np.ndarray,
     q_mask: np.ndarray,
-    level_members: list[np.ndarray],
+    mem: np.ndarray,
+    lvl: np.ndarray,
+    n_levels: int,
     prefix_members: np.ndarray,
     prefix_ranks: np.ndarray,
     commands: list[tuple[str, Callable[[np.ndarray], np.ndarray]]],
@@ -144,10 +205,11 @@ def check_columnar_obligations(
 ) -> ProofCheckResult:
     """Discharge every obligation of a columnar certificate, batched.
 
-    All ids live in the adapter's compact universe ``[0, n)``:
-    ``level_members``/``prefix_members`` are the layout's arrays already
-    mapped into it (entries outside the universe dropped — they are
-    invisible to every mask the per-level oracle computes over it).
+    All ids live in the adapter's compact universe ``[0, n)``: ``mem``
+    (the level-major members, with their level ids ``lvl``) and
+    ``prefix_members`` are the layout's columns already mapped into it
+    (entries outside the universe dropped — they are invisible to every
+    mask the per-level oracle computes over it).
     ``commands`` maps **all** commands to successor gathers; ``fair``
     the fair subset; ``enabled_at`` is required exactly when ``strong``.
 
@@ -155,14 +217,6 @@ def check_columnar_obligations(
     node count and obligation count equal the per-level oracle's on the
     same certificate.
     """
-    n_levels = len(level_members)
-    sizes = np.array([m.shape[0] for m in level_members], dtype=np.int64)
-    mem = (
-        np.concatenate(level_members)
-        if n_levels
-        else np.empty(0, dtype=np.int64)
-    )
-    lvl = np.repeat(np.arange(n_levels, dtype=np.int64), sizes)
     result = ProofCheckResult(mode="batched")
     # One metric-induction node plus seven nodes per level (ensures and
     # its six-node expansion); one coverage obligation plus ten per level

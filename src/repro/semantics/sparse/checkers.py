@@ -524,8 +524,8 @@ def check_obligations_batched_sparse(sub: ReachableSubspace, layout):
         keep = (pos < gids.size) & (gids[clipped] == arr)
         return pos[keep], keep
 
-    level_local = [to_local(m)[0] for m in layout.level_members]
-    pref_local, pref_keep = to_local(layout.prefix_members)
+    mem_local, mem_keep = to_local(layout.stacked)
+    pref_local, pref_keep = to_local(layout.members)
     program = sub.program
     commands = [
         (cmd.name, (lambda ids, c=cmd: sub.succ_local(c)[ids]))
@@ -543,9 +543,11 @@ def check_obligations_batched_sparse(sub: ReachableSubspace, layout):
         n=sub.size,
         p_mask=sub.pred_mask(layout.p),
         q_mask=sub.pred_mask(layout.q),
-        level_members=level_local,
+        mem=mem_local,
+        lvl=layout.level_ids()[mem_keep],
+        n_levels=layout.n_levels,
         prefix_members=pref_local,
-        prefix_ranks=layout.prefix_ranks[pref_keep],
+        prefix_ranks=layout.ranks[pref_keep],
         commands=commands,
         fair=fair,
         strong=layout.fairness == "strong",

@@ -26,14 +26,22 @@ The synthesized certificate is linear in the number of SCCs, and checking
 it is independent of the model checker's verdict — the kernel re-discharges
 every ``transient``/``next``/validity obligation from scratch.
 
-Certificates are **columnar**: every level's members are stacked into one
+Certificates are **columnar records**.  Every step of the ladder has
+the same shape — level ``n`` and the premise ``Ensures(level[n], q ∨
+levels below n)`` — so the level table determines the proof.  The
+synthesizer returns a :class:`~repro.core.rules.ColumnarInduction`:
+``p``, ``q``, the fairness notion, one
 :class:`~repro.core.predicates.SupportTable` (level-major + globally
-sorted column pairs), levels and the rank-gated exit ladder are zero-copy
-views of it, and :func:`check_certificate_batched` re-checks the whole
-tree with one vectorized pass per command over all levels — the kernel
-that makes 10⁴–10⁵-level certificates checkable in seconds.  The
-per-level tree walk (``proof.check``) is unchanged and serves as the
-differential oracle (``tests/test_batched_check.py``).
+sorted column pairs) and the SCC id of each level, with no per-level
+object built.  Its ``levels``/``subs`` are lazy views that build the
+level predicates and ``Ensures`` steps on access, and ``.tree()``
+builds the eager :class:`~repro.core.rules.MetricInduction`.
+:func:`check_certificate_batched` reads the table's columns directly
+and re-checks the whole certificate with one vectorized pass per
+command over all levels — the kernel that makes 10⁴–10⁵-level
+certificates checkable in seconds.  The per-level walk
+(``proof.check``, over the views or ``.tree()``) is the differential
+oracle (``tests/test_batched_check.py``).
 
 Canonical-order invariant.  The variant metric *is* the SCC emission
 order of :mod:`repro.semantics.scc`: components arrive sinks-first
@@ -73,14 +81,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro import obs
-from repro.core.predicates import (
-    Predicate,
-    PrefixSupportPredicate,
-    SupportPredicate,
-    SupportTable,
-)
+from repro.core.predicates import Predicate, SupportTable
 from repro.core.program import Program
-from repro.core.rules import Ensures, Implication, LeadsToProof, MetricInduction
+from repro.core.proofs import ProofCheckResult, ProofFailure
+from repro.core.rules import ColumnarInduction, Implication, LeadsToProof
 from repro.errors import ProofError
 from repro.semantics.leadsto import fair_scc_analysis
 from repro.semantics.transition import TransitionSystem
@@ -272,19 +276,18 @@ def _synthesize_sparse(sub, p: Predicate, q: Predicate, fairness: str) -> LeadsT
 
 def _columnar_induction(
     space, p: Predicate, q: Predicate, comps, fairness: str, *, member_word: str
-) -> MetricInduction:
-    """Assemble the metric induction from SCC components, columnar.
+) -> ColumnarInduction:
+    """Assemble the metric induction from SCC components, as columns.
 
     ``comps`` is the list of ``(scc_id, sorted global member indices)``
     in canonical emission order.  All levels are stacked into **one**
-    :class:`~repro.core.predicates.SupportTable`; each level predicate is
-    a zero-copy view of the level-major column, and every ``exit[n]`` is
-    ``q ∨ prefix(<n)`` over the shared sorted ``(member, rank)`` columns
-    — synthesis stays linear in total member count, and the batched
-    kernel (:func:`check_certificate_batched`) checks the whole ladder
-    with searchsorted rank lookups instead of per-level mask unions.
-    Shared by both tiers (dense synthesis passes full-space component
-    arrays, sparse synthesis the reachable global ids).
+    :class:`~repro.core.predicates.SupportTable`, and the certificate is
+    the :class:`~repro.core.rules.ColumnarInduction` record over it: no
+    per-level predicate or rule object is built here (the record derives
+    them on access), so synthesis stays linear in total member count
+    with a small constant.  Shared by both tiers (dense synthesis passes
+    full-space component arrays, sparse synthesis the reachable global
+    ids).
     """
     rec = obs.get_recorder()
     if rec.enabled:
@@ -294,85 +297,19 @@ def _columnar_induction(
             int(sum(members.shape[0] for _, members in comps)),
         )
     table = SupportTable(space, [members for _, members in comps])
-    levels: list[Predicate] = []
-    subs: list[LeadsToProof] = []
-    for n_level, (k, members) in enumerate(comps):
-        level_pred = table.level_pred(
-            n_level,
-            f"level[{n_level}] (scc #{k}, {members.shape[0]} {member_word})",
-        )
-        exit_pred = q | table.prefix_pred(n_level, f"exit[{n_level}] (lower levels)")
-        levels.append(level_pred)
-        subs.append(Ensures(level_pred, exit_pred, fairness=fairness))
-    return MetricInduction(p, q, levels, subs, support_table=table)
+    return ColumnarInduction(
+        p,
+        q,
+        table,
+        [k for k, _ in comps],
+        fairness=fairness,
+        member_word=member_word,
+    )
 
 
 # ---------------------------------------------------------------------------
 # Batched certificate checking
 # ---------------------------------------------------------------------------
-
-
-def _certificate_layout(proof: LeadsToProof):
-    """The columnar view of a synthesized certificate, or ``None``.
-
-    Verifies the *shape* the batched kernel relies on: a
-    :class:`~repro.core.rules.MetricInduction` whose premises are
-    ``Ensures(levelₙ, q ∨ prefix(<n))`` with every level a
-    :class:`~repro.core.predicates.SupportPredicate`, the level predicate
-    *identical* (``is``) to the premise's left-hand side, one fairness
-    notion throughout, and one shared ``(member, rank)`` column pair
-    behind the whole exit ladder.  Given that shape, every intermediate
-    equality of the ``Ensures`` expansion is a predicate-calculus
-    tautology for arbitrary table *contents* — so the batched kernel only
-    needs to re-discharge coverage, the rank-gate entailments, and the
-    per-level ``next``/``transient`` obligations (which it does from
-    scratch; corrupt contents are refused, see
-    ``tests/test_batched_check.py``).  Anything else — hand-written
-    certificates, mask-backed levels — returns ``None`` and is checked by
-    the per-level oracle.
-    """
-    from repro.core.predicates import _Composite
-    from repro.semantics.obligations import CertificateLayout
-
-    if not isinstance(proof, MetricInduction) or not proof.levels:
-        return None
-    fairness = None
-    prefix_members = prefix_ranks = None
-    level_members = []
-    for n, (lv, sub) in enumerate(zip(proof.levels, proof.subs)):
-        if not isinstance(sub, Ensures) or sub.p is not lv:
-            return None
-        if type(lv) is not SupportPredicate or lv.space is not proof.levels[0].space:
-            return None
-        if fairness is None:
-            fairness = sub.fairness
-        elif sub.fairness != fairness:
-            return None
-        exit_pred = sub.q
-        if not (
-            isinstance(exit_pred, _Composite)
-            and exit_pred.op == "or"
-            and len(exit_pred.parts) == 2
-            and exit_pred.parts[0] is proof.q
-            and type(exit_pred.parts[1]) is PrefixSupportPredicate
-        ):
-            return None
-        prefix = exit_pred.parts[1]
-        if prefix.cutoff != n or prefix.space is not lv.space:
-            return None
-        if prefix_members is None:
-            prefix_members, prefix_ranks = prefix.members, prefix.ranks
-        elif prefix.members is not prefix_members or prefix.ranks is not prefix_ranks:
-            return None
-        level_members.append(lv.members)
-    return CertificateLayout(
-        p=proof.p,
-        q=proof.q,
-        level_members=level_members,
-        prefix_members=prefix_members,
-        prefix_ranks=prefix_ranks,
-        fairness=fairness,
-    )
 
 
 def check_certificate_batched(proof: LeadsToProof, program: Program, *, subspace=None):
@@ -390,25 +327,38 @@ def check_certificate_batched(proof: LeadsToProof, program: Program, *, subspace
     :class:`~repro.semantics.sparse.explorer.ReachableSubspace`, matching
     :func:`synthesize_leadsto_proof`).
 
-    Verdict, node count and obligation count equal the per-level walk's;
-    the result's ``mode`` reports ``"batched"``.  Certificates without
-    the synthesized columnar shape (hand-built trees, ``Implication``
-    shortcuts) fall back to ``proof.check(program)`` — the per-level path
-    stays available as the differential oracle either way.
+    The kernel reads the columns of a
+    :class:`~repro.core.rules.ColumnarInduction` record straight from its
+    :class:`~repro.core.predicates.SupportTable`; the record's format
+    fixes the proof's structure, so only the table's contents need
+    checking (a malformed table is refused).  Verdict, node count and
+    obligation count equal the per-level walk's; the result's ``mode``
+    reports ``"batched"``.  Anything else (hand-built trees,
+    ``Implication`` shortcuts) goes to ``proof.check(program)``, the
+    per-level oracle.
     """
+    from repro.semantics.obligations import CertificateLayout
+
     space = program.space
     rec = obs.get_recorder()
-    layout = _certificate_layout(proof)
-    if layout is not None and proof.levels[0].space is not space:
-        layout = None
-    if layout is None:
+    if (
+        not isinstance(proof, ColumnarInduction)
+        or proof.support_table.space is not space
+    ):
         with rec.span("proof.check", program=program.name, mode="per-level"):
             return proof.check(program)
+    layout = CertificateLayout.of(proof)
     with rec.span(
         "proof.batched_check",
         program=program.name,
-        levels=len(layout.level_members),
+        levels=layout.n_levels,
     ):
+        defect = layout.defect(space.size)
+        if defect is not None:
+            failure = ProofFailure(
+                "metric-induction", f"malformed support table: {defect}"
+            )
+            return ProofCheckResult([failure], mode="batched")
         if subspace is None:
             from repro.semantics.sparse import routed_subspace
 
@@ -416,7 +366,7 @@ def check_certificate_batched(proof: LeadsToProof, program: Program, *, subspace
         # int64 headroom for the kernel's (level, member) search keys over the
         # routed universe (never binding under the default sparse node limit).
         universe = subspace.size if subspace is not None else space.size
-        if universe and len(layout.level_members) > (2**62) // universe:
+        if universe and layout.n_levels > (2**62) // universe:
             return proof.check(program)
         if subspace is not None:
             from repro.semantics.sparse.checkers import (

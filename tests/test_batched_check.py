@@ -11,14 +11,20 @@ synthesizer can emit — on both tiers, and on corrupted certificates:
   obligation counts (the batched kernel discharges the same obligation
   set, just one segmented pass per family instead of one call per level);
 - injected faults — a corrupted level member, a broken rank gate in the
-  shared exit-ladder columns — must be **refused by both** kernels;
-- certificates without the synthesized columnar shape (hand-built trees,
-  ``Implication`` shortcuts) fall back to the per-level oracle;
+  shared exit-ladder columns, a shifted level offset — are written into
+  the columnar record itself, so the batched kernel sees them, and must
+  be **refused by both** kernels (the oracle walks the record's
+  ``.tree()``);
+- anything that is not a columnar record (hand-built trees, the eager
+  ``.tree()`` form, ``Implication`` shortcuts) goes to the per-level
+  oracle;
 - on beyond-dense spaces the batched check runs entirely on the sparse
   tier (any full-space allocation would raise ``CapacityError``).
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 import pytest
@@ -26,15 +32,9 @@ import pytest
 from repro.core.commands import GuardedCommand
 from repro.core.domains import IntRange
 from repro.core.expressions import land, lnot
-from repro.core.predicates import (
-    ExprPredicate,
-    PrefixSupportPredicate,
-    SupportPredicate,
-    SupportTable,
-    TRUE,
-)
+from repro.core.predicates import ExprPredicate, SupportTable, TRUE
 from repro.core.program import Program
-from repro.core.rules import Ensures, MetricInduction, TransientBasis
+from repro.core.rules import ColumnarInduction, MetricInduction, TransientBasis
 from repro.core.variables import Var
 from repro.errors import PropertyError
 from repro.semantics.sparse.explorer import explore
@@ -55,9 +55,17 @@ def ladder_program():
     )
 
 
+def countdown_program():
+    """Levels in increasing state order (x=1, x=2, x=3), so a shifted
+    level offset still leaves every level sorted."""
+    dec = GuardedCommand("dec", X.ref() > 0, [(X, X.ref() - 1)])
+    return Program("Countdown", [X], TRUE, [dec], fair=["dec"])
+
+
 def _assert_agree(proof, program, *, subspace=None, expect_ok=None):
-    """Oracle and batched kernel agree on verdict and accounting."""
-    oracle = proof.check(program)
+    """Oracle (the per-level walk of the eager tree) and batched kernel
+    agree on verdict and accounting."""
+    oracle = proof.tree().check(program)
     batched = check_certificate_batched(proof, program, subspace=subspace)
     assert batched.mode == "batched"
     assert batched.ok == oracle.ok, (
@@ -151,31 +159,45 @@ class TestHealthyCertificates:
 # ---------------------------------------------------------------------------
 
 
-def _with_level(proof, n, members, description="corrupted level"):
-    """Rebuild the certificate with level ``n``'s members replaced,
-    keeping the columnar shape (shared exit ladder, identical q)."""
-    space = proof.levels[0].space
-    lv = SupportPredicate(space, members, description)
-    levels = list(proof.levels)
-    subs = list(proof.subs)
-    levels[n] = lv
-    subs[n] = Ensures(lv, proof.subs[n].q, fairness=proof.subs[n].fairness)
-    return MetricInduction(proof.p, proof.q, levels, subs)
+def _with_columns(proof, **columns):
+    """A copy of the columnar certificate with table columns replaced."""
+    table = copy.copy(proof.support_table)
+    for name, column in columns.items():
+        setattr(table, name, np.asarray(column, dtype=np.int64))
+    return ColumnarInduction(
+        proof.p,
+        proof.q,
+        table,
+        proof.scc_ids,
+        fairness=proof.fairness,
+        member_word=proof.member_word,
+    )
+
+
+def _with_level(proof, n, members):
+    """Level ``n``'s members replaced in the level-major column; the
+    exit ladder's sorted columns are left as they were."""
+    table = proof.support_table
+    lo, hi = int(table.offsets[n]), int(table.offsets[n + 1])
+    members = np.asarray(members, dtype=np.int64)
+    offsets = table.offsets.copy()
+    offsets[n + 1 :] += members.shape[0] - (hi - lo)
+    stacked = np.concatenate([table.stacked[:lo], members, table.stacked[hi:]])
+    return _with_columns(proof, stacked=stacked, offsets=offsets)
 
 
 def _with_ranks(proof, ranks):
-    """Rebuild the certificate with the shared exit-ladder rank column
-    replaced (the 'broken rank gate' corruption)."""
-    space = proof.levels[0].space
-    old = proof.subs[0].q.parts[1]
-    levels = list(proof.levels)
-    subs = []
-    for n, sub in enumerate(proof.subs):
-        prefix = PrefixSupportPredicate(
-            space, old.members, ranks, n, f"exit[{n}] (corrupted ranks)"
-        )
-        subs.append(Ensures(levels[n], proof.q | prefix, fairness=sub.fairness))
-    return MetricInduction(proof.p, proof.q, levels, subs)
+    """The shared exit-ladder rank column replaced (the 'broken rank
+    gate' corruption)."""
+    return _with_columns(proof, ranks=ranks)
+
+
+def _with_offset(proof, n, shift):
+    """Level boundary ``n`` moved by ``shift`` entries: members change
+    level in the level-major column only."""
+    offsets = proof.support_table.offsets.copy()
+    offsets[n] += shift
+    return _with_columns(proof, offsets=offsets)
 
 
 class TestInjectedFaults:
@@ -214,6 +236,39 @@ class TestInjectedFaults:
         up[lo] += 1
         _assert_agree(_with_ranks(proof, up), program, expect_ok=False)
 
+    def test_shifted_level_offset_refused_dense(self):
+        program = countdown_program()
+        proof = synthesize_leadsto_proof(
+            program, TRUE, ExprPredicate(X.ref() == 0)
+        )
+        assert np.array_equal(proof.support_table.stacked, [1, 2, 3])
+        # x=2 slides down into level 0: level 0 is no longer transient.
+        _assert_agree(_with_offset(proof, 1, 1), program, expect_ok=False)
+        # x=1 slides up into level 1: the exit ladder still ranks it
+        # below level 1, so exit[1] admits a state of no lower level.
+        _assert_agree(_with_offset(proof, 1, -1), program, expect_ok=False)
+
+    def test_malformed_table_refused(self):
+        """A shift that unsorts a level cannot be checked by lookups; the
+        batched kernel refuses it and the eager tree cannot be built."""
+        program = ladder_program()
+        proof = synthesize_leadsto_proof(
+            program, TRUE, ExprPredicate(X.ref() == 3)
+        )
+        assert np.array_equal(proof.support_table.stacked, [2, 1, 0])
+        broken = _with_offset(proof, 1, 1)
+        res = check_certificate_batched(broken, program)
+        assert res.mode == "batched" and not res.ok
+        assert "not strictly increasing" in res.explain()
+        with pytest.raises(PropertyError):
+            broken.tree()
+        offsets = proof.support_table.offsets.copy()
+        offsets[-1] += 1
+        res = check_certificate_batched(
+            _with_columns(proof, offsets=offsets), program
+        )
+        assert res.mode == "batched" and not res.ok
+
     def test_faults_refused_on_sparse_tier(self, monkeypatch):
         monkeypatch.setattr("repro.semantics.sparse.SPARSE_THRESHOLD", 0)
         program = ladder_program()
@@ -228,6 +283,14 @@ class TestInjectedFaults:
         down[int(np.argmax(down))] -= 1
         _assert_agree(
             _with_ranks(proof, down), program, subspace=sub, expect_ok=False
+        )
+        program = countdown_program()
+        sub = explore(program)
+        proof = synthesize_leadsto_proof(
+            program, TRUE, ExprPredicate(X.ref() == 0), subspace=sub
+        )
+        _assert_agree(
+            _with_offset(proof, 1, 1), program, subspace=sub, expect_ok=False
         )
 
     def test_corrupted_strong_certificate_refused(self):
@@ -267,6 +330,19 @@ class TestFallbackAndStructure:
         res = check_certificate_batched(bogus, program)
         assert res.mode == "per-level"
         assert res.ok == bogus.check(program).ok is False
+
+    def test_eager_tree_goes_to_oracle(self):
+        program = ladder_program()
+        proof = synthesize_leadsto_proof(
+            program, TRUE, ExprPredicate(X.ref() == 3)
+        )
+        tree = proof.tree()
+        assert type(tree) is MetricInduction
+        res = check_certificate_batched(tree, program)
+        assert res.mode == "per-level" and res.ok
+        batched = check_certificate_batched(proof, program)
+        assert res.nodes_checked == batched.nodes_checked
+        assert res.obligations_checked == batched.obligations_checked
 
     def test_implication_shortcut_falls_back(self):
         program = ladder_program()
