@@ -72,14 +72,10 @@ __all__ = [
 _ROUTED_SUBSPACE = None
 
 
-def _sparse_subspace(program: "Program"):
-    """The reachable subspace when the program's space routes sparse.
-
-    Side conditions on routed spaces are discharged over the subspace
-    (reachable-restricted); ``None`` means discharge densely.  The
-    fallback policy lives in
-    :func:`repro.semantics.sparse.routed_subspace`.
-    """
+def _side_condition_view(program: "Program"):
+    """The state view rule side conditions range over (the routed one:
+    the reachable subspace on sparse-routed spaces, else the whole
+    space; see :func:`repro.semantics.sparse.routed_subspace`)."""
     global _ROUTED_SUBSPACE
     if _ROUTED_SUBSPACE is None:
         from repro.semantics.sparse import routed_subspace
@@ -101,10 +97,8 @@ def masks_equal(p: Predicate, q: Predicate, program: "Program") -> bool:
     the tier-routed obligation checkers decide — certificates for
     10¹²-state compositions never materialize a full-space mask.
     """
-    sub = _sparse_subspace(program)
-    if sub is not None:
-        return bool(np.array_equal(sub.pred_mask(p), sub.pred_mask(q)))
-    return p.equivalent(q, program.space)
+    view = _side_condition_view(program)
+    return bool(np.array_equal(view.pred_mask(p), view.pred_mask(q)))
 
 
 def pred_entails(p: Predicate, q: Predicate, program: "Program") -> bool:
@@ -115,10 +109,8 @@ def pred_entails(p: Predicate, q: Predicate, program: "Program") -> bool:
     conditions should use this instead of
     :meth:`Predicate.entails`, which always materializes full masks.
     """
-    sub = _sparse_subspace(program)
-    if sub is not None:
-        return bool(np.all(~sub.pred_mask(p) | sub.pred_mask(q)))
-    return p.entails(q, program.space)
+    view = _side_condition_view(program)
+    return bool(np.all(~view.pred_mask(p) | view.pred_mask(q)))
 
 
 @dataclass

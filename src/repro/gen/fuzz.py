@@ -424,7 +424,7 @@ def run_differential(
 
     - ``leadsto-weak`` / ``leadsto-strong`` — the dense SCC analysis
       restricted to reachable ``p``-states (the sparse tier's documented
-      judgment) vs. the sparse checkers;
+      judgment) vs. the checkers on the reachable subspace;
     - ``invariant`` — dense vs. sparse reachable-invariant verdicts;
     - ``certificate`` — per-level proof walk vs. the batched columnar
       kernel on a synthesized weak leads-to certificate (skipped when
@@ -434,13 +434,12 @@ def run_differential(
         raise ValueError(f"unknown fault {fault!r}; known: {sorted(FAULTS)}")
     from repro.semantics.checker import check_reachable_invariant
     from repro.semantics.explorer import reachable_mask
-    from repro.semantics.leadsto import fair_scc_analysis
-    from repro.semantics.sparse.checkers import (
-        check_leadsto_sparse,
-        check_leadsto_strong_sparse,
-        check_reachable_invariant_sparse,
+    from repro.semantics.leadsto import check_leadsto, fair_scc_analysis
+    from repro.semantics.sparse.explorer import reachable_subspace
+    from repro.semantics.strong_fairness import (
+        check_leadsto_strong,
+        strong_fair_scc_analysis,
     )
-    from repro.semantics.strong_fairness import strong_fair_scc_analysis
     from repro.semantics.synthesis import (
         check_certificate_batched,
         synthesize_leadsto_proof,
@@ -450,9 +449,10 @@ def run_differential(
     reach = reachable_mask(program)
     pm = p.mask(program.space)
     sparse_subject = _defair(program) if fault == "sparse-unfair" else program
+    subject_sub = reachable_subspace(sparse_subject)
 
     expect_weak = not (pm & fair_scc_analysis(program, q).avoid_mask & reach).any()
-    got_weak = bool(check_leadsto_sparse(sparse_subject, p, q).holds)
+    got_weak = bool(check_leadsto(sparse_subject, p, q, subspace=subject_sub).holds)
     if fault == "sparse-flip-weak":
         got_weak = not got_weak
     report.checks.append(
@@ -462,7 +462,9 @@ def run_differential(
     expect_strong = not (
         pm & strong_fair_scc_analysis(program, q).avoid_mask & reach
     ).any()
-    got_strong = bool(check_leadsto_strong_sparse(sparse_subject, p, q).holds)
+    got_strong = bool(
+        check_leadsto_strong(sparse_subject, p, q, subspace=subject_sub).holds
+    )
     report.checks.append(
         CheckOutcome(
             "leadsto-strong", got_strong == expect_strong, expect_strong, got_strong
@@ -473,7 +475,11 @@ def run_differential(
         dense_inv = bool(pm.all())
     else:
         dense_inv = bool(check_reachable_invariant(program, p).holds)
-    sparse_inv = bool(check_reachable_invariant_sparse(program, p).holds)
+    sparse_inv = bool(
+        check_reachable_invariant(
+            program, p, subspace=reachable_subspace(program)
+        ).holds
+    )
     report.checks.append(
         CheckOutcome("invariant", dense_inv == sparse_inv, dense_inv, sparse_inv)
     )

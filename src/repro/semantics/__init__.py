@@ -16,7 +16,8 @@ substitution axiom, no implicit restriction to reachable states):
 - **sparse tier** — :mod:`repro.semantics.sparse`: frontier exploration,
   reachable subspaces, and sub-CSR checking for composition stacks whose
   encoded space exceeds :data:`repro.semantics.sparse.SPARSE_THRESHOLD`
-  (the dense checkers route there automatically);
+  (every judgment is written once against a state view, and
+  :func:`repro.semantics.sparse.routed_subspace` picks the view);
 - **proof synthesis** — :mod:`repro.semantics.synthesis` reconstructs a
   kernel-checkable certificate (using only the paper's proof rules) for any
   finite-state leads-to validated by the model checker;

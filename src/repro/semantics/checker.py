@@ -9,37 +9,38 @@ quantify over *all* states of the space::
     transient p   ≡  ⟨∃c : c ∈ D : p ⇒ wp.c.¬p⟩
     invariant p   ≡  (init p) ∧ (stable p)
 
-Because commands are total deterministic functions, ``p ⇒ wp.c.q`` over the
-encoded space is the single vectorized test ``¬p_mask ∨ q_mask[table_c]``.
+Because commands are total deterministic functions, ``p ⇒ wp.c.q`` over a
+set of states is the single vectorized test ``¬p_mask ∨ q_mask[table_c]``.
 
 Checkers return a :class:`CheckResult` carrying a decoded counterexample
 when the property fails — the failing state, the command, and its successor
 — which the test suite and examples surface directly.
 
-Tier routing.  Spaces above the sparse threshold route every checker here
-to its reachable-restricted twin in
-:mod:`repro.semantics.sparse.checkers` (results carry
-``witness["tier"] == "sparse"``), falling back to the dense tier when the
-sparse tier cannot decide — the same policy ``check_leadsto`` has always
-used.  This is what lets the proof kernel discharge the obligations of
-synthesized certificates on 10¹²-state composition stacks: every leaf
-(``transient``/``next``/validity/``init``) is decided over the reachable
-subspace through the frontier kernels, never a full-space mask.  Callers
-that need the paper's inductive all-states judgment on a large space can
-force the dense tier via ``repro.semantics.sparse.SPARSE_THRESHOLD``.
+State views.  Each judgment is written once, against the state view that
+:func:`repro.semantics.sparse.routed_subspace` picks for the program: a
+:class:`~repro.semantics.transition.DenseView` of the whole space, or —
+above the sparse threshold — the
+:class:`~repro.semantics.sparse.explorer.ReachableSubspace`, over which
+the same code decides the reachable-restricted judgment through the
+frontier kernels (results carry ``witness["tier"] == "sparse"``).  The
+view also supplies the wording of the verdict, so no judgment branches on
+the tier.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
 
+from repro import obs
 from repro.core.predicates import Predicate
 from repro.core.program import Program
-from repro.semantics.explorer import reachable_mask
-from repro.semantics.transition import TransitionSystem
+from repro.errors import BudgetExhausted
+from repro.semantics.budget import PartialResult
+from repro.semantics.sparse import routed_subspace
 
 __all__ = [
     "CheckResult",
@@ -78,134 +79,138 @@ class CheckResult:
         return f"[{status}] {self.kind}: {self.subject}{tail}"
 
 
-#: Lazily-bound ``(sparse package, ExplorationError, sparse checkers)``
-#: triple — resolved once, then reused on every routed check.  The
-#: checkers here sit on proof-kernel hot paths (one call per obligation),
-#: where per-call ``import`` statements would dominate small instances;
-#: the import must still be lazy because :mod:`repro.semantics.sparse`
-#: imports this module.
-_SPARSE_BINDINGS = None
+def recording(recorder):
+    """Install ``recorder`` for a ``with`` block (no-op for ``None``) —
+    the ``recorder=`` keyword of the public checkers."""
+    return obs.use_recorder(recorder) if recorder is not None else nullcontext()
 
 
-def _sparse_bindings():
-    global _SPARSE_BINDINGS
-    if _SPARSE_BINDINGS is None:
-        from repro.errors import ExplorationError
-        from repro.semantics import sparse
-        from repro.semantics.sparse import checkers
-
-        _SPARSE_BINDINGS = (sparse, ExplorationError, checkers)
-    return _SPARSE_BINDINGS
-
-
-def _try_sparse(program: Program, checker_name: str, args, dense_op: str, **kwargs):
-    """Run the sparse twin of a checker when the space routes sparse.
-
-    Returns the sparse :class:`CheckResult`, or ``None`` when the check
-    should run densely — either the space is below the threshold, or the
-    sparse tier failed *and* the space fits the dense tier (beyond
-    ``DENSE_MAX`` the fallback refuses with a
-    :class:`~repro.errors.CapacityError` whose ``__cause__`` is the
-    sparse failure).  ``kwargs`` (budget/checkpoint) are forwarded to the
-    sparse twin verbatim.
-    """
-    sparse, exploration_error, checkers = _sparse_bindings()
-    space = program.space
-    if not sparse.sparse_enabled(space):
-        return None
+def judged_view(
+    program: Program,
+    dense_op: str,
+    *,
+    kind: str,
+    subject: str,
+    budget=None,
+    subspace=None,
+    checkpoint=None,
+):
+    """The state view a budgeted judgment ranges over: ``subspace`` when
+    given, else the routed view — or, when the budget runs out before the
+    reachable closure is complete, the resumable ``status="unknown"``
+    :class:`~repro.semantics.budget.PartialResult` standing in for the
+    verdict (no verdict over a partial closure would be sound)."""
+    if subspace is not None:
+        return subspace
     try:
-        return getattr(checkers, checker_name)(program, *args, **kwargs)
-    except exploration_error as exc:
-        sparse.dense_fallback(space, dense_op, exc)
-        return None
+        return routed_subspace(program, dense_op, budget=budget, checkpoint=checkpoint)
+    except BudgetExhausted as exc:
+        return PartialResult.from_exhaustion(exc, kind=kind, subject=subject)
+
+
+def metered(witness: dict, view) -> dict:
+    """Attach the view's exploration stats to a verdict witness.
+
+    Only when a recorder is installed — with the null recorder the
+    witness is byte-identical to the uninstrumented engine's, which the
+    differential neutrality suite pins.  The dense view has no stats.
+    """
+    if obs.get_recorder().enabled and view.stats:
+        witness["metrics"] = dict(view.stats)
+    return witness
 
 
 def check_validity(program: Program, p: Predicate, q: Predicate) -> CheckResult:
-    """Predicate-calculus validity ``p ⇒ q`` over the whole space
-    (reachable-restricted on sparse-routed spaces; see module docstring).
+    """Predicate-calculus validity ``p ⇒ q`` over the routed view's states.
 
     This is the side condition of the paper's *Implication* rule for
     leads-to and of ``init``-weakening steps.
     """
-    routed = _try_sparse(program, "check_validity_sparse", (p, q), "check_validity")
-    if routed is not None:
-        return routed
-    space = program.space
-    bad = p.mask(space) & ~q.mask(space)
-    idx = np.flatnonzero(bad)
+    view = routed_subspace(program, "check_validity")
+    subject = f"{p.describe()} => {q.describe()}"
+    idx = np.flatnonzero(view.pred_mask(p) & ~view.pred_mask(q))
     if idx.size == 0:
-        return CheckResult(True, "validity", f"{p.describe()} => {q.describe()}")
-    state = space.state_at(int(idx[0]))
+        return CheckResult(
+            True,
+            "validity",
+            subject,
+            message=f"valid on every {view.scope}state{view.extent}",
+            witness={**view.tag, **view.census()},
+        )
+    state = view.state_at_local(int(idx[0]))
     return CheckResult(
         False,
         "validity",
-        f"{p.describe()} => {q.describe()}",
-        message=f"violated at {state!r} (+{idx.size - 1} more)",
-        witness={"state": state, "violations": int(idx.size)},
+        subject,
+        message=f"violated at {view.scope}{state!r} (+{idx.size - 1} more)",
+        witness={**view.tag, "state": state, "violations": int(idx.size)},
     )
 
 
 def check_init(program: Program, p: Predicate) -> CheckResult:
     """``init p``: every state satisfying ``initially`` satisfies ``p``."""
-    routed = _try_sparse(program, "check_init_sparse", (p,), "check_init")
-    if routed is not None:
-        return routed
-    space = program.space
-    bad = program.initial_mask() & ~p.mask(space)
-    idx = np.flatnonzero(bad)
-    if idx.size == 0:
-        return CheckResult(True, "init", f"init {p.describe()}")
-    state = space.state_at(int(idx[0]))
+    view = routed_subspace(program, "check_init")
+    subject = f"init {p.describe()}"
+    init = view.init_local
+    bad = init[~view.pred_mask(p)[init]]
+    if bad.size == 0:
+        return CheckResult(
+            True,
+            "init",
+            subject,
+            message=f"holds on all {init.size} initial states{view.extent}",
+            witness=dict(view.tag),
+        )
+    state = view.state_at_local(int(bad[0]))
     return CheckResult(
         False,
         "init",
-        f"init {p.describe()}",
+        subject,
         message=f"initial state {state!r} violates p",
-        witness={"state": state, "violations": int(idx.size)},
+        witness={**view.tag, "state": state, "violations": int(bad.size)},
     )
 
 
 def check_next(program: Program, p: Predicate, q: Predicate) -> CheckResult:
     """``p next q``: every command maps every ``p``-state to a ``q``-state."""
-    routed = _try_sparse(program, "check_next_sparse", (p, q), "check_next")
-    if routed is not None:
-        return routed
-    ts = TransitionSystem.for_program(program)
-    space = ts.space
-    pm = p.mask(space)
-    qm = q.mask(space)
+    view = routed_subspace(program, "check_next")
     subject = f"{p.describe()} next {q.describe()}"
-    for cmd, table in ts.all_tables():
-        bad = pm & ~qm[table]
-        idx = np.flatnonzero(bad)
+    pm = view.pred_mask(p)
+    qm = view.pred_mask(q)
+    for cmd in program.commands:
+        table = view.succ_local(cmd)
+        idx = np.flatnonzero(pm & ~qm[table])
         if idx.size:
-            i = int(idx[0])
-            state = space.state_at(i)
-            succ = space.state_at(int(table[i]))
+            k = int(idx[0])
+            state = view.state_at_local(k)
+            succ = view.state_at_local(int(table[k]))
             return CheckResult(
                 False,
                 "next",
                 subject,
                 message=(
-                    f"command {cmd.name} steps {state!r} to {succ!r}, "
-                    "which violates q"
+                    f"command {cmd.name} steps {view.scope}{state!r} to "
+                    f"{succ!r}, which violates q"
                 ),
                 witness={
+                    **view.tag,
                     "state": state,
                     "command": cmd.name,
                     "successor": succ,
                     "violations": int(idx.size),
                 },
             )
-    return CheckResult(True, "next", subject)
+    return CheckResult(
+        True,
+        "next",
+        subject,
+        message=f"holds from every {view.scope}state{view.extent}",
+        witness={**view.tag, **view.census()},
+    )
 
 
 def check_stable(program: Program, p: Predicate) -> CheckResult:
-    """``stable p ≡ p next p`` (decided by its sparse twin on routed
-    spaces, densely through :func:`check_next` otherwise)."""
-    routed = _try_sparse(program, "check_stable_sparse", (p,), "check_stable")
-    if routed is not None:
-        return routed
+    """``stable p ≡ p next p``."""
     result = check_next(program, p, p)
     return CheckResult(
         result.holds,
@@ -220,14 +225,10 @@ def check_transient(program: Program, p: Predicate) -> CheckResult:
     """``transient p``: some fair command falsifies ``p`` from every
     ``p``-state.  The witness reports the helpful command when the
     property holds, and per-command failure states when it fails."""
-    routed = _try_sparse(program, "check_transient_sparse", (p,), "check_transient")
-    if routed is not None:
-        return routed
-    ts = TransitionSystem.for_program(program)
-    space = ts.space
-    pm = p.mask(space)
+    view = routed_subspace(program, "check_transient")
     subject = f"transient {p.describe()}"
-    fair = ts.fair_tables()
+    pm = view.pred_mask(p)
+    fair = program.fair_commands
     if not fair:
         # With D empty nothing is forced to execute, so only the
         # unsatisfiable predicate is transient.
@@ -236,84 +237,89 @@ def check_transient(program: Program, p: Predicate) -> CheckResult:
                 True,
                 "transient",
                 subject,
-                message="p is unsatisfiable (vacuously transient)",
+                message=f"p is unsatisfiable (vacuously transient){view.extent}",
+                witness=dict(view.tag),
             )
         return CheckResult(
             False,
             "transient",
             subject,
             message="the program has no fair commands (D = ∅)",
+            witness=dict(view.tag),
         )
     failures: dict[str, Any] = {}
-    for cmd, table in fair:
-        bad = pm & pm[table]
-        idx = np.flatnonzero(bad)
+    for cmd in fair:
+        idx = np.flatnonzero(pm & pm[view.succ_local(cmd)])
         if idx.size == 0:
             return CheckResult(
                 True,
                 "transient",
                 subject,
-                message=f"command {cmd.name} falsifies p from every p-state",
-                witness={"command": cmd.name},
+                message=(
+                    f"command {cmd.name} falsifies p from every "
+                    f"{view.scope}p-state{view.extent}"
+                ),
+                witness={**view.tag, "command": cmd.name},
             )
-        failures[cmd.name] = space.state_at(int(idx[0]))
+        failures[cmd.name] = view.state_at_local(int(idx[0]))
     return CheckResult(
         False,
         "transient",
         subject,
         message=(
-            "no single fair command falsifies p everywhere; per-command "
-            "stuck states recorded in the witness"
+            f"no single fair command falsifies p from every {view.scope}"
+            "p-state; per-command stuck states recorded in the witness"
         ),
-        witness={"stuck_states": failures},
+        witness={**view.tag, "stuck_states": failures},
     )
 
 
-def check_obligations_batched(program: Program, layout):
-    """Dense twin of the batched certificate kernel: discharge every
-    obligation of a columnar certificate over the full encoded space.
+def check_obligations_batched(view, layout):
+    """Discharge every obligation of a columnar certificate over ``view``
+    (the routed state view) with the batched certificate kernel.
 
-    The levels' member indices are used directly as global ids, the
-    cached successor tables of :class:`~repro.semantics.transition.
-    TransitionSystem` supply one gather per command over all level
-    members at once, and enabledness (strong certificates only) is
-    evaluated by the frontier kernel ``Command.enabled_at`` at the member
-    rows.  Called through
+    Members map to view ids (entries outside a reachable subspace are
+    dropped — they are invisible to every reachable-restricted mask the
+    per-level oracle computes), one gather per command runs over all
+    level members at once through the view's successor columns, and
+    enabledness (strong certificates only) is read from its enabledness
+    columns.  Called through
     :func:`repro.semantics.synthesis.check_certificate_batched`; the
     per-level tree walk (:meth:`~repro.core.proofs.ProofNode.check`)
     remains the differential oracle.
     """
     from repro.semantics.obligations import check_columnar_obligations
 
-    ts = TransitionSystem.for_program(program)
-    space = ts.space
+    mem, mem_keep = view.localize(layout.stacked)
+    prefix, prefix_keep = view.localize(layout.members)
+    program = view.program
     commands = [
-        (cmd.name, (lambda ids, t=table: t[ids]))
-        for cmd, table in ts.all_tables()
+        (cmd.name, (lambda ids, c=cmd: view.succ_local(c)[ids]))
+        for cmd in program.commands
     ]
     fair = [
-        (cmd.name, (lambda ids, t=table: t[ids]))
-        for cmd, table in ts.fair_tables()
+        (cmd.name, (lambda ids, c=cmd: view.succ_local(c)[ids]))
+        for cmd in program.fair_commands
     ]
 
     def enabled_at(name: str, ids: np.ndarray) -> np.ndarray:
-        return program.command_named(name).enabled_at(space, ids)
+        return view.enabled_local(name)[ids]
 
     return check_columnar_obligations(
-        n=space.size,
-        p_mask=layout.p.mask(space),
-        q_mask=layout.q.mask(space),
-        mem=layout.stacked,
-        lvl=layout.level_ids(),
+        n=view.size,
+        p_mask=view.pred_mask(layout.p),
+        q_mask=view.pred_mask(layout.q),
+        mem=mem,
+        lvl=layout.level_ids()[mem_keep],
         n_levels=layout.n_levels,
-        prefix_members=layout.members,
-        prefix_ranks=layout.ranks,
+        prefix_members=prefix,
+        prefix_ranks=layout.ranks[prefix_keep],
         commands=commands,
         fair=fair,
         strong=layout.fairness == "strong",
         enabled_at=enabled_at,
-        decode=space.state_at,
-        tier="dense tier",
+        decode=view.state_at_local,
+        tier=f"{view.tier} tier",
     )
 
 
@@ -358,55 +364,52 @@ def check_reachable_invariant(
     ``budget`` / ``subspace`` / ``recorder`` form the normalized keyword
     set shared by every public checker (see ``docs/composition.md``).
 
-    Spaces above the sparse threshold are decided by the sparse tier
-    (:mod:`repro.semantics.sparse`) — same judgment, no full-space arrays
-    — falling back to the dense tier when the sparse tier cannot decide.
-    With a ``budget``, exhaustion on the sparse tier degrades to a
-    resumable ``status="unknown"`` :class:`~repro.semantics.budget.
-    PartialResult` instead of raising (see ``docs/robustness.md``).
+    Spaces above the sparse threshold are decided on the reachable
+    subspace (:mod:`repro.semantics.sparse`) — same judgment, no
+    full-space arrays — falling back to the dense tier when the sparse
+    tier cannot decide.  With a ``budget``, exhaustion on the sparse tier
+    degrades to a resumable ``status="unknown"``
+    :class:`~repro.semantics.budget.PartialResult` instead of raising (see
+    ``docs/robustness.md``).
     """
-    if recorder is not None:
-        from repro import obs
-
-        with obs.use_recorder(recorder):
-            return check_reachable_invariant(
-                program,
-                p,
-                budget=budget,
-                subspace=subspace,
-                checkpoint=checkpoint,
-            )
-    space = program.space
-    from repro.errors import ExplorationError
-    from repro.semantics.sparse import dense_fallback, sparse_enabled
-
-    if subspace is not None or sparse_enabled(space):
-        from repro.semantics.sparse.checkers import (
-            check_reachable_invariant_sparse,
-        )
-
-        try:
-            return check_reachable_invariant_sparse(
-                program, p, budget=budget, subspace=subspace, checkpoint=checkpoint
-            )
-        except ExplorationError as exc:
-            dense_fallback(space, "check_reachable_invariant", exc)
-    reach = reachable_mask(program)
-    bad = reach & ~p.mask(space)
-    idx = np.flatnonzero(bad)
     subject = f"reachable-invariant {p.describe()}"
-    if idx.size == 0:
+    with recording(recorder):
+        view = judged_view(
+            program,
+            "check_reachable_invariant",
+            kind="reachable-invariant",
+            subject=subject,
+            budget=budget,
+            subspace=subspace,
+            checkpoint=checkpoint,
+        )
+        if isinstance(view, PartialResult):
+            return view
+        reach = view.reachable()
+        idx = np.flatnonzero(reach & ~view.pred_mask(p))
+        if idx.size == 0:
+            return CheckResult(
+                True,
+                "reachable-invariant",
+                subject,
+                message=f"holds on all {int(reach.sum())} reachable states",
+                witness=metered({**view.tag, **view.census()}, view),
+            )
+        k = int(idx[0])
+        state = view.state_at_local(k)
         return CheckResult(
-            True,
+            False,
             "reachable-invariant",
             subject,
-            message=f"holds on all {int(reach.sum())} reachable states",
+            message=f"reachable state {state!r} violates p",
+            witness=metered(
+                {
+                    **view.tag,
+                    "state": state,
+                    "violations": int(idx.size),
+                    **view.census(),
+                    **view.path_witness(k),
+                },
+                view,
+            ),
         )
-    state = space.state_at(int(idx[0]))
-    return CheckResult(
-        False,
-        "reachable-invariant",
-        subject,
-        message=f"reachable state {state!r} violates p",
-        witness={"state": state, "violations": int(idx.size)},
-    )

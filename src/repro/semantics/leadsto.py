@@ -33,33 +33,40 @@ matrix — an edge ``s → d(s)`` is internal to its SCC iff
 ``(command, SCC)`` flag plane (:func:`_fair_flags`), instead of one
 scatter round per command.  The same helper evaluates the strong-fairness
 criterion (:mod:`repro.semantics.strong_fairness`) when handed enabledness
-rows, and the sparse tier (:mod:`repro.semantics.sparse.checkers`) reuses
-it verbatim over local successor columns.
+rows.
 
-Spaces above :data:`repro.semantics.sparse.SPARSE_THRESHOLD` route through
-the sparse tier, which decides the reachable-restricted judgment without
-allocating full-space arrays (see the :mod:`repro.semantics.sparse`
-package docstring for the exact semantics).
+One implementation serves both tiers: :func:`fair_analysis` and the
+leads-to judgment are written against a state view
+(:func:`repro.semantics.sparse.routed_subspace`).  Spaces above
+:data:`repro.semantics.sparse.SPARSE_THRESHOLD` route to the reachable
+subspace, over which the same code decides the reachable-restricted
+judgment without allocating full-space arrays (see the
+:mod:`repro.semantics.sparse` package docstring for the exact semantics).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from repro.core.predicates import Predicate
 from repro.core.program import Program
-from repro.semantics.checker import CheckResult
+from repro.semantics.budget import PartialResult
+from repro.semantics.checker import CheckResult, judged_view, metered, recording
 from repro.semantics.scc import Condensation
-from repro.semantics.transition import TransitionSystem
+from repro.semantics.transition import DenseView
 
-__all__ = ["FairAnalysis", "fair_scc_analysis", "check_leadsto"]
+__all__ = ["FairAnalysis", "fair_analysis", "fair_scc_analysis", "check_leadsto"]
 
 
 @dataclass
 class FairAnalysis:
-    """Full fairness analysis of the ``¬q`` subgraph.
+    """Fairness analysis of the ``¬q`` subgraph of a state view.
+
+    All arrays are indexed by the view's ids (global indices on the dense
+    view, local ids on a reachable subspace).
 
     Attributes
     ----------
@@ -69,7 +76,8 @@ class FairAnalysis:
         SCC condensation of the ``¬q`` subgraph (emission order = sinks
         first; see :mod:`repro.semantics.scc`).
     fair_flags:
-        ``fair_flags[k]`` — SCC ``k`` satisfies the fair-SCC criterion.
+        ``fair_flags[k]`` — SCC ``k`` satisfies the fair-SCC criterion
+        (weak or strong, depending on how the analysis was built).
     avoid_mask:
         States that can reach a fair SCC inside ``¬q`` — exactly the states
         from which the scheduler can avoid ``q`` forever.
@@ -91,6 +99,10 @@ class FairAnalysis:
     def inevitable_mask(self) -> np.ndarray:
         """States from which every fair execution reaches ``q``."""
         return ~self.avoid_mask
+
+    def fair_seed_mask(self) -> np.ndarray:
+        """States lying inside a fair SCC."""
+        return _fair_seed_mask(self.cond, self.fair_flags)
 
     def safe_components(self) -> list[tuple[int, np.ndarray]]:
         """``(comp_id, members)`` for SCCs in the safe region, in emission
@@ -182,21 +194,43 @@ def _fair_flags(
     return flags
 
 
-def fair_scc_analysis(program: Program, q: Predicate) -> FairAnalysis:
-    """Analyse the ``¬q`` subgraph of ``program`` for fair avoidance."""
-    ts = TransitionSystem.for_program(program)
-    space = ts.space
-    graph = ts.graph()
-    qm = q.mask(space)
+def fair_analysis(view, q: Predicate, *, strong: bool = False) -> FairAnalysis:
+    """Analyse the ``¬q`` subgraph of a state view for fair avoidance.
+
+    With ``strong=True`` the per-SCC criterion is the strong-fairness one
+    (:mod:`repro.semantics.strong_fairness`), evaluated over the view's
+    enabledness columns; each column is built only when its chunk is
+    reached, and not at all once the flags die.  Shared by the leads-to
+    checkers and the proof synthesizer (:mod:`repro.semantics.synthesis`),
+    which turns ``cond``'s canonical sinks-first emission order directly
+    into the variant metric of its induction certificates.
+    """
+    graph = view.graph()
+    qm = view.pred_mask(q)
     notq = ~qm
     cond = graph.condensation(notq)
-    fair_flags = _fair_flags(cond, [t for _, t in ts.fair_tables()])
+    fair_cmds = view.program.fair_commands
+    enabled = [partial(view.enabled_local, cmd) for cmd in fair_cmds]
+    fair_flags = _fair_flags(
+        cond,
+        [view.succ_local(cmd) for cmd in fair_cmds],
+        enabled=enabled if strong else None,
+    )
     seeds = _fair_seed_mask(cond, fair_flags)
     avoid = graph.reverse_closure(seeds, allowed=notq)
     return FairAnalysis(
-        q_mask=qm, notq_mask=notq, cond=cond, fair_flags=fair_flags,
+        q_mask=qm,
+        notq_mask=notq,
+        cond=cond,
+        fair_flags=fair_flags,
         avoid_mask=avoid,
     )
+
+
+def fair_scc_analysis(program: Program, q: Predicate) -> FairAnalysis:
+    """Analyse the ``¬q`` subgraph of ``program``'s whole space for fair
+    avoidance (the dense view of :func:`fair_analysis`)."""
+    return fair_analysis(DenseView(program), q)
 
 
 def check_leadsto(
@@ -225,87 +259,112 @@ def check_leadsto(
     ``witness["path"]``, the BFS-parent command path showing the
     ``p``-state is reachable).
 
-    Spaces above the sparse threshold are decided by the sparse tier over
-    the reachable subspace (see :mod:`repro.semantics.sparse`); if the
-    sparse tier cannot decide (non-expression ``initially``, reachable
-    set above its ``node_limit``) the check falls back to the dense tier,
-    which handles anything up to ``StateSpace.DENSE_MAX`` at dense memory
-    cost — exactly the pre-sparse behaviour.  Beyond ``DENSE_MAX`` the
-    fallback refuses with a :class:`~repro.errors.CapacityError` whose
-    ``__cause__`` is the sparse failure.
+    Spaces above the sparse threshold are decided over the reachable
+    subspace (see :mod:`repro.semantics.sparse`); if the sparse tier
+    cannot decide (non-expression ``initially``, reachable set above its
+    ``node_limit``) the check falls back to the dense tier, which handles
+    anything up to ``StateSpace.DENSE_MAX`` at dense memory cost.  Beyond
+    ``DENSE_MAX`` the fallback refuses with a
+    :class:`~repro.errors.CapacityError` whose ``__cause__`` is the
+    sparse failure.
 
     With a ``budget``, sparse-tier exhaustion degrades to a resumable
     ``status="unknown"`` :class:`~repro.semantics.budget.PartialResult`
     instead of raising (see ``docs/robustness.md``).
     """
-    if recorder is not None:
-        from repro import obs
+    return leadsto_verdict(
+        program,
+        p,
+        q,
+        strong=False,
+        budget=budget,
+        subspace=subspace,
+        recorder=recorder,
+        checkpoint=checkpoint,
+    )
 
-        with obs.use_recorder(recorder):
-            return check_leadsto(
-                program, p, q, budget=budget, subspace=subspace,
-                checkpoint=checkpoint,
+
+def leadsto_verdict(
+    program: Program,
+    p: Predicate,
+    q: Predicate,
+    *,
+    strong: bool,
+    budget,
+    subspace,
+    recorder,
+    checkpoint,
+) -> CheckResult | PartialResult:
+    """The leads-to judgment behind :func:`check_leadsto` and
+    :func:`repro.semantics.strong_fairness.check_leadsto_strong`."""
+    kind = "leadsto-strong" if strong else "leadsto"
+    arrow = "~>[strong]" if strong else "~>"
+    subject = f"{p.describe()} {arrow} {q.describe()}"
+    with recording(recorder):
+        view = judged_view(
+            program,
+            "check_leadsto_strong" if strong else "check_leadsto",
+            kind=kind,
+            subject=subject,
+            budget=budget,
+            subspace=subspace,
+            checkpoint=checkpoint,
+        )
+        if isinstance(view, PartialResult):
+            return view
+        if view.size == 0:
+            return CheckResult(
+                True,
+                kind,
+                subject,
+                message=f"no {view.scope}states (vacuous){view.extent}",
+                witness=metered({**view.tag, **view.census()}, view),
             )
-    space = program.space
-    from repro.errors import ExplorationError
-    from repro.semantics.sparse import dense_fallback, sparse_enabled
-
-    if subspace is not None or sparse_enabled(space):
-        from repro.semantics.sparse.checkers import check_leadsto_sparse
-
-        try:
-            return check_leadsto_sparse(
-                program, p, q, budget=budget, subspace=subspace,
-                checkpoint=checkpoint,
+        analysis = fair_analysis(view, q, strong=strong)
+        idx = np.flatnonzero(view.pred_mask(p) & analysis.avoid_mask)
+        if idx.size == 0:
+            return CheckResult(
+                True,
+                kind,
+                subject,
+                message=f"holds from every {view.scope}p-state{view.extent}",
+                witness=metered({**view.tag, **view.census()}, view),
             )
-        except ExplorationError as exc:
-            dense_fallback(space, "check_leadsto", exc)
-    subject = f"{p.describe()} ~> {q.describe()}"
-    analysis = fair_scc_analysis(program, q)
-    bad = p.mask(space) & analysis.avoid_mask
-    idx = np.flatnonzero(bad)
-    if idx.size == 0:
+        k = int(idx[0])
+        state = view.state_at_local(k)
+        # The fair SCC the run settles in, plus a concrete confining path:
+        # a ¬q-confined walk from the violating p-state into a fair SCC —
+        # the scheduler's avoidance strategy, state by state.
+        fair_comp = analysis.cond.components[int(np.argmax(analysis.fair_flags))]
+        fair_state = view.state_at_local(int(fair_comp[0]))
+        sources = np.zeros(view.size, dtype=bool)
+        sources[k] = True
+        confining = view.graph().path_between(
+            sources, analysis.fair_seed_mask(), allowed=analysis.notq_mask
+        )
+        confining_states = (
+            [view.state_at_local(int(s)) for s in confining]
+            if confining is not None
+            else [state]
+        )
         return CheckResult(
-            True, "leadsto", subject,
+            False,
+            kind,
+            subject,
             message=(
-                f"{int(analysis.safe_mask.sum())} ¬q-states are safe, "
-                f"{int(analysis.avoid_mask.sum())} avoidable, none satisfy p"
+                f"from {view.scope}p-state {state!r} the scheduler can avoid q "
+                f"forever (e.g. settling near {fair_state!r}){view.extent}"
+            ),
+            witness=metered(
+                {
+                    **view.tag,
+                    "state": state,
+                    "fair_scc_state": fair_state,
+                    "violations": int(idx.size),
+                    **view.census(),
+                    **view.path_witness(k),
+                    "confining_path": confining_states,
+                },
+                view,
             ),
         )
-    i = int(idx[0])
-    state = space.state_at(i)
-    # Locate some fair SCC for the diagnostic, plus a concrete confining
-    # path: a ¬q-confined walk from the violating p-state into a fair SCC
-    # — the scheduler's avoidance strategy, state by state.
-    fair_state = None
-    for k, comp in enumerate(analysis.cond.components):
-        if analysis.fair_flags[k]:
-            fair_state = space.state_at(int(comp[0]))
-            break
-    sources = np.zeros(space.size, dtype=bool)
-    sources[i] = True
-    confining = TransitionSystem.for_program(program).graph().path_between(
-        sources,
-        _fair_seed_mask(analysis.cond, analysis.fair_flags),
-        allowed=analysis.notq_mask,
-    )
-    confining_states = (
-        [space.state_at(int(s)) for s in confining]
-        if confining is not None
-        else [state]
-    )
-    return CheckResult(
-        False,
-        "leadsto",
-        subject,
-        message=(
-            f"from p-state {state!r} the scheduler can avoid q forever "
-            f"(e.g. settling near {fair_state!r})"
-        ),
-        witness={
-            "state": state,
-            "fair_scc_state": fair_state,
-            "violations": int(idx.size),
-            "confining_path": confining_states,
-        },
-    )

@@ -45,11 +45,11 @@ as the per-level oracle and counts it identically;
 ``tests/test_batched_check.py`` pins verdict equality on both tiers,
 including injected-fault certificates.
 
-The kernel is tier-agnostic: it works over a compact id universe
-(global indices on the dense tier, local ids on the sparse tier) through
-a handful of array-valued callables, so nothing here ever allocates an
-array of length ``space.size`` unless the adapter's universe *is* the
-space.
+The kernel is tier-agnostic: it works over a compact id universe — the
+ids of a state view (global indices on the dense view, local ids on a
+reachable subspace) — through a handful of array-valued callables, so
+nothing here ever allocates an array of length ``space.size`` unless the
+view's universe *is* the space.
 """
 
 from __future__ import annotations
@@ -79,9 +79,8 @@ class CertificateLayout:
     Read straight from the :class:`~repro.core.predicates.SupportTable`
     of a :class:`~repro.core.rules.ColumnarInduction` record by
     :func:`repro.semantics.synthesis.check_certificate_batched`;
-    consumed by the tier adapters (:func:`repro.semantics.checker.
-    check_obligations_batched` and :func:`repro.semantics.sparse.checkers.
-    check_obligations_batched_sparse`).
+    consumed by the view adapter :func:`repro.semantics.checker.
+    check_obligations_batched`.
 
     ``stacked``/``offsets`` are the level-major columns: level ``n``'s
     sorted global indices are ``stacked[offsets[n]:offsets[n + 1]]``.

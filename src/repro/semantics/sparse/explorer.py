@@ -19,10 +19,10 @@ Two pieces live here:
    of a state is its rank), per-command **local** successor columns, BFS
    distances, **BFS parents** (first-discovery edges, so every reachable
    state carries a concrete command path back to the initial set — the raw
-   material of the witness paths attached by the sparse checkers and the
+   material of the witness paths attached by sparse-tier verdicts and the
    proof synthesizer's refusal diagnostics), and the local initial set —
    everything the sub-CSR assembly (:mod:`repro.semantics.sparse.subgraph`)
-   and the sparse checkers need.
+   and the judgments over the subspace need.
 
 Canonical-order invariant (documented; relied on by
 :mod:`repro.semantics.synthesis`): ``global_ids`` is sorted ascending, so
@@ -233,6 +233,13 @@ class ReachableSubspace:
         "__weakref__",
     )
 
+    #: The view's wording and witness hooks (shared with
+    #: :class:`~repro.semantics.transition.DenseView`): sparse verdicts
+    #: are tagged, speak of *reachable* states, and name the tier.
+    tier = "sparse"
+    tag = {"tier": "sparse"}
+    scope = "reachable "
+
     def __init__(
         self,
         program: Program,
@@ -278,6 +285,14 @@ class ReachableSubspace:
         """Number of reachable states (the local space's size)."""
         return int(self.global_ids.shape[0])
 
+    @property
+    def extent(self) -> str:
+        """Verdict-message suffix naming the tier and its extent."""
+        return (
+            f" (sparse tier: {self.size} reachable of "
+            f"{self.space.size} encoded states)"
+        )
+
     # -- id maps --------------------------------------------------------------
 
     def local_of(self, global_idx: np.ndarray) -> np.ndarray:
@@ -296,6 +311,24 @@ class ReachableSubspace:
         """Decode local id ``k`` into a :class:`State`."""
         return self.space.state_at(int(self.global_ids[int(k)]))
 
+    def global_of(self, ids: np.ndarray) -> np.ndarray:
+        """Global state indices of local ids."""
+        return self.global_ids[ids]
+
+    def localize(self, global_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(ids, keep)``: local ids of the reachable entries of
+        ``global_idx`` and the mask of those entries (the rest are
+        dropped, unlike :meth:`local_of`, which refuses them)."""
+        gids = self.global_ids
+        if gids.size == 0:
+            return global_idx[:0], np.zeros(global_idx.shape[0], dtype=bool)
+        # One binary search yields both the membership mask and the local
+        # positions (kept entries have pos < gids.size, so pos == clipped).
+        pos = np.searchsorted(gids, global_idx)
+        clipped = np.minimum(pos, gids.size - 1)
+        keep = (pos < gids.size) & (gids[clipped] == global_idx)
+        return pos[keep], keep
+
     # -- witness paths ---------------------------------------------------------
 
     def path_to_local(self, k: int) -> list[int]:
@@ -313,6 +346,15 @@ class ReachableSubspace:
                 raise ExplorationError("BFS parent chain exceeds level count")
         path.reverse()
         return path
+
+    def census(self) -> dict:
+        """Witness entries describing the subspace (its reachable count)."""
+        return {"reachable": self.size}
+
+    def path_witness(self, k: int) -> dict:
+        """Witness entries for local state ``k``: its :meth:`witness_path`."""
+        states, commands = self.witness_path(k)
+        return {"path": states, "path_commands": commands}
 
     def witness_path(self, k: int) -> tuple[list[State], list[str]]:
         """Decoded shortest path from the initial set to local state ``k``.
@@ -365,6 +407,10 @@ class ReachableSubspace:
     def pred_mask(self, pred: Predicate) -> np.ndarray:
         """Satisfaction mask of ``pred`` over the local ids."""
         return pred.mask_at(self.space, self.global_ids)
+
+    def reachable(self) -> np.ndarray:
+        """Mask of the reachable states: all of them, by construction."""
+        return np.ones(self.size, dtype=bool)
 
     # -- graph ----------------------------------------------------------------
 
@@ -707,7 +753,6 @@ def explore(
     *,
     seeds: np.ndarray | None = None,
     node_limit: int | None = None,
-    max_states: int | None = None,
     join_limit: int = DEFAULT_JOIN_LIMIT,
     budget: Budget | None = None,
     checkpoint=None,
@@ -717,7 +762,7 @@ def explore(
     ``seeds`` overrides the start set (global indices; default: the sparse
     enumeration of ``initially``).  Raises :class:`ExplorationError` when
     the discovered set exceeds ``node_limit`` (default
-    :data:`DEFAULT_NODE_LIMIT`; ``max_states`` is the deprecated alias) —
+    :data:`DEFAULT_NODE_LIMIT`) —
     the sparse tier's only **hard** size wall: the *encoded* space is
     unbounded up to the ``int64`` index range.
 
@@ -731,16 +776,8 @@ def explore(
     :func:`~repro.semantics.sparse.checkpoint.resume_exploration`
     round-trips bit-identically with an uninterrupted run.
     """
-    if max_states is not None:
-        import warnings
-
-        warnings.warn(
-            "explore(max_states=...) is deprecated; use node_limit=",
-            DeprecationWarning,
-            stacklevel=2,
-        )
     if node_limit is None:
-        node_limit = max_states if max_states is not None else DEFAULT_NODE_LIMIT
+        node_limit = DEFAULT_NODE_LIMIT
     space = program.space
     space.require_vector_indexable("sparse exploration")
     if seeds is None:

@@ -33,13 +33,22 @@ paper's solution that the ablation makes visible.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from repro.core.predicates import Predicate
 from repro.core.program import Program
 from repro.semantics.checker import CheckResult
-from repro.semantics.leadsto import FairAnalysis, _fair_flags, _fair_seed_mask
-from repro.semantics.transition import TransitionSystem
+from repro.semantics.leadsto import (
+    FairAnalysis,
+    _fair_flags,
+    check_leadsto,
+    fair_analysis,
+    leadsto_verdict,
+)
+from repro.semantics.sparse import routed_subspace
+from repro.semantics.transition import DenseView
 
 __all__ = [
     "strong_fair_scc_analysis",
@@ -58,28 +67,7 @@ def strong_fair_scc_analysis(program: Program, q: Predicate) -> FairAnalysis:
     an SCC stays fair iff for every ``d`` it either never enables ``d`` or
     contains an enabled ``d``-move staying inside the SCC.
     """
-    ts = TransitionSystem.for_program(program)
-    space = ts.space
-    graph = ts.graph()
-    qm = q.mask(space)
-    notq = ~qm
-    cond = graph.condensation(notq)
-    fair_cmds = program.fair_commands
-    # Enabledness rows stream lazily: each full-space mask is built only
-    # when its chunk is reached, and not at all once the flags die.
-    fair_flags = _fair_flags(
-        cond,
-        [ts.tables[cmd.name] for cmd in fair_cmds],
-        enabled=[
-            (lambda c=cmd: c.enabled_mask(space)) for cmd in fair_cmds
-        ],
-    )
-    seeds = _fair_seed_mask(cond, fair_flags)
-    avoid = graph.reverse_closure(seeds, allowed=notq)
-    return FairAnalysis(
-        q_mask=qm, notq_mask=notq, cond=cond, fair_flags=fair_flags,
-        avoid_mask=avoid,
-    )
+    return fair_analysis(DenseView(program), q, strong=True)
 
 
 def check_transient_strong(program: Program, p: Predicate) -> CheckResult:
@@ -96,52 +84,51 @@ def check_transient_strong(program: Program, p: Predicate) -> CheckResult:
     the pipeline∘allocator delivery property, which *fails* under weak
     fairness).
 
-    Spaces above the sparse threshold are decided reachable-restricted by
-    :func:`repro.semantics.sparse.checkers.check_transient_strong_sparse`.
+    Spaces above the sparse threshold are decided reachable-restricted,
+    over the routed reachable subspace.
     """
-    from repro.semantics.checker import _try_sparse
-
-    routed = _try_sparse(
-        program, "check_transient_strong_sparse", (p,), "check_transient_strong"
-    )
-    if routed is not None:
-        return routed
-    ts = TransitionSystem.for_program(program)
-    space = ts.space
+    view = routed_subspace(program, "check_transient_strong")
     subject = f"transient[strong] {p.describe()}"
-    pm = p.mask(space)
+    pm = view.pred_mask(p)
     if not pm.any():
         return CheckResult(
-            True, "transient-strong", subject,
-            message="p is unsatisfiable (vacuously transient)",
+            True,
+            "transient-strong",
+            subject,
+            message=f"p is unsatisfiable (vacuously transient){view.extent}",
+            witness=dict(view.tag),
         )
     fair_cmds = program.fair_commands
-    cond = ts.graph().condensation(pm)
+    cond = view.graph().condensation(pm)
+    # Enabledness columns stream lazily: each is built only when its
+    # chunk is reached, and not at all once the flags die.
     flags = _fair_flags(
         cond,
-        [ts.tables[cmd.name] for cmd in fair_cmds],
-        enabled=[
-            (lambda c=cmd: c.enabled_mask(space)) for cmd in fair_cmds
-        ],
+        [view.succ_local(cmd) for cmd in fair_cmds],
+        enabled=[partial(view.enabled_local, cmd) for cmd in fair_cmds],
     )
     hit = np.flatnonzero(flags)
     if hit.size == 0:
         return CheckResult(
-            True, "transient-strong", subject,
+            True,
+            "transient-strong",
+            subject,
             message=(
-                f"every SCC of the p-subgraph ({cond.count} component(s)) "
-                "has an enabled exiting fair command"
+                f"every SCC of the {view.scope}p-subgraph ({cond.count} "
+                f"component(s)) has an enabled exiting fair command{view.extent}"
             ),
-            witness={"components": cond.count},
+            witness={**view.tag, "components": cond.count},
         )
-    state = space.state_at(int(cond.components[int(hit[0])][0]))
+    state = view.state_at_local(int(cond.components[int(hit[0])][0]))
     return CheckResult(
-        False, "transient-strong", subject,
+        False,
+        "transient-strong",
+        subject,
         message=(
             "a strongly-fair execution can stay inside p forever "
             f"(e.g. in the component of {state!r})"
         ),
-        witness={"state": state, "fair_components": int(hit.size)},
+        witness={**view.tag, "state": state, "fair_components": int(hit.size)},
     )
 
 
@@ -159,54 +146,26 @@ def check_leadsto_strong(
 
     ``budget`` / ``subspace`` / ``recorder`` form the normalized keyword
     set shared by every public checker (see ``docs/composition.md``).
-
-    Spaces above the sparse threshold are decided by the sparse tier over
-    the reachable subspace (see :mod:`repro.semantics.sparse`), falling
-    back to the dense tier when the sparse tier cannot decide (the
-    :class:`~repro.errors.CapacityError` of an impossible fallback chains
-    the sparse failure as ``__cause__``).  With a ``budget``, sparse-tier
-    exhaustion degrades to a resumable ``status="unknown"``
+    The verdict, witness (including ``confining_path`` into a
+    strongly-fair SCC) and tier routing are those of
+    :func:`repro.semantics.leadsto.check_leadsto`, with the strong
+    per-SCC criterion: spaces above the sparse threshold are decided over
+    the reachable subspace, falling back to the dense tier when the
+    sparse tier cannot decide (the :class:`~repro.errors.CapacityError`
+    of an impossible fallback chains the sparse failure as
+    ``__cause__``).  With a ``budget``, sparse-tier exhaustion degrades
+    to a resumable ``status="unknown"``
     :class:`~repro.semantics.budget.PartialResult` instead of raising.
     """
-    if recorder is not None:
-        from repro import obs
-
-        with obs.use_recorder(recorder):
-            return check_leadsto_strong(
-                program, p, q, budget=budget, subspace=subspace,
-                checkpoint=checkpoint,
-            )
-    space = program.space
-    from repro.errors import ExplorationError
-    from repro.semantics.sparse import dense_fallback, sparse_enabled
-
-    if subspace is not None or sparse_enabled(space):
-        from repro.semantics.sparse.checkers import check_leadsto_strong_sparse
-
-        try:
-            return check_leadsto_strong_sparse(
-                program, p, q, budget=budget, subspace=subspace,
-                checkpoint=checkpoint,
-            )
-        except ExplorationError as exc:
-            dense_fallback(space, "check_leadsto_strong", exc)
-    subject = f"{p.describe()} ~>[strong] {q.describe()}"
-    analysis = strong_fair_scc_analysis(program, q)
-    bad = p.mask(space) & analysis.avoid_mask
-    idx = np.flatnonzero(bad)
-    if idx.size == 0:
-        return CheckResult(
-            True, "leadsto-strong", subject,
-            message=(
-                f"{int(analysis.safe_mask.sum())} ¬q-states safe under "
-                f"strong fairness, {int(analysis.avoid_mask.sum())} avoidable"
-            ),
-        )
-    state = space.state_at(int(idx[0]))
-    return CheckResult(
-        False, "leadsto-strong", subject,
-        message=f"avoidable even under strong fairness, from {state!r}",
-        witness={"state": state, "violations": int(idx.size)},
+    return leadsto_verdict(
+        program,
+        p,
+        q,
+        strong=True,
+        budget=budget,
+        subspace=subspace,
+        recorder=recorder,
+        checkpoint=checkpoint,
     )
 
 
@@ -217,8 +176,6 @@ def fairness_gap(program: Program, p: Predicate, q: Predicate) -> dict[str, bool
     the weaker scheduler constraint is guaranteed under the stronger one.
     The interesting instances are ``{'weak': False, 'strong': True}``.
     """
-    from repro.semantics.leadsto import check_leadsto
-
     weak = check_leadsto(program, p, q).holds
     strong = check_leadsto_strong(program, p, q).holds
     return {"weak": weak, "strong": strong, "gap": strong and not weak}

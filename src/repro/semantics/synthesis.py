@@ -56,17 +56,17 @@ reachable states *component for component*.  Dense and sparse synthesis
 therefore produce certificates with identical level structure wherever
 both tiers can run (pinned by ``tests/test_sparse_synthesis.py``).
 
-Tier routing.  Spaces above the sparse threshold synthesize on the
-reachable subspace: levels are
+Tier routing.  Synthesis runs once, on the state view the router picks
+(:func:`repro.semantics.sparse.routed_subspace`).  Spaces above the
+sparse threshold synthesize on the reachable subspace: levels are
 :class:`~repro.core.predicates.SupportPredicate` sets of reachable global
-indices, obligations are discharged by the reachable-restricted checkers
-of :mod:`repro.semantics.sparse.checkers` through the frontier kernels
-(``Command.succ_of`` / ``Predicate.mask_at``), and nothing of length
-``space.size`` is ever allocated — certificates for 2⁴⁰-state
-compositions in working memory proportional to the *reachable* set.  The
-resulting proof certifies the **reachable-restricted** judgment (the one
-the sparse checkers decide; see the :mod:`repro.semantics.sparse` package
-docstring).
+indices, obligations are discharged over the same subspace through the
+frontier kernels (``Command.succ_of`` / ``Predicate.mask_at``), and
+nothing of length ``space.size`` is ever allocated — certificates for
+2⁴⁰-state compositions in working memory proportional to the *reachable*
+set.  The resulting proof certifies the **reachable-restricted** judgment
+(the one the routed checkers decide; see the :mod:`repro.semantics.sparse`
+package docstring).
 
 Fairness.  ``fairness="strong"`` certifies the strong-fairness judgment
 instead, swapping the per-level basis for
@@ -86,8 +86,10 @@ from repro.core.program import Program
 from repro.core.proofs import ProofCheckResult, ProofFailure
 from repro.core.rules import ColumnarInduction, Implication, LeadsToProof
 from repro.errors import ProofError
-from repro.semantics.leadsto import fair_scc_analysis
-from repro.semantics.transition import TransitionSystem
+from repro.semantics.budget import PartialResult
+from repro.semantics.checker import check_obligations_batched, judged_view, recording
+from repro.semantics.leadsto import fair_analysis
+from repro.semantics.sparse import routed_subspace
 
 __all__ = ["synthesize_leadsto_proof", "check_certificate_batched"]
 
@@ -96,7 +98,6 @@ def synthesize_leadsto_proof(
     program: Program,
     p: Predicate,
     q: Predicate,
-    _positional_fairness: str | None = None,
     *,
     fairness: str = "weak",
     budget=None,
@@ -108,8 +109,6 @@ def synthesize_leadsto_proof(
 
     ``budget`` / ``subspace`` / ``recorder`` form the normalized keyword
     set shared by every public checker (see ``docs/composition.md``).
-    Passing the fairness notion positionally is deprecated — use
-    ``fairness=``.
 
     Raises :class:`ProofError` if the property does not hold (no proof
     exists), quoting the model checker's counterexample.
@@ -131,81 +130,49 @@ def synthesize_leadsto_proof(
     instead of a proof (callers must check for it — it is not a
     :class:`LeadsToProof` and refuses ``bool()``).
     """
-    if _positional_fairness is not None:
-        import warnings
-
-        warnings.warn(
-            "passing the fairness notion positionally is deprecated; "
-            "use synthesize_leadsto_proof(..., fairness=...)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        fairness = _positional_fairness
-    if recorder is not None:
-        with obs.use_recorder(recorder):
-            return synthesize_leadsto_proof(
+    with recording(recorder):
+        if fairness not in ("weak", "strong"):
+            raise ProofError(f"unknown fairness notion {fairness!r}")
+        rec = obs.get_recorder()
+        with rec.span("synthesis.leadsto", program=program.name, fairness=fairness):
+            arrow = "~>[strong]" if fairness == "strong" else "~>"
+            view = judged_view(
                 program,
-                p,
-                q,
-                fairness=fairness,
+                "proof synthesis",
+                kind="proof-synthesis",
+                subject=f"{p.describe()} {arrow} {q.describe()}",
                 budget=budget,
                 subspace=subspace,
                 checkpoint=checkpoint,
             )
-    if fairness not in ("weak", "strong"):
-        raise ProofError(f"unknown fairness notion {fairness!r}")
-    rec = obs.get_recorder()
-    with rec.span("synthesis.leadsto", program=program.name, fairness=fairness):
-        if subspace is not None:
-            return _synthesize_sparse(subspace, p, q, fairness)
-        from repro.errors import BudgetExhausted
-        from repro.semantics.budget import PartialResult
-        from repro.semantics.sparse import routed_subspace
-
-        try:
-            sub = routed_subspace(
-                program, "proof synthesis", budget=budget, checkpoint=checkpoint
-            )
-        except BudgetExhausted as exc:
-            arrow = "~>[strong]" if fairness == "strong" else "~>"
-            return PartialResult.from_exhaustion(
-                exc,
-                kind="proof-synthesis",
-                subject=f"{p.describe()} {arrow} {q.describe()}",
-            )
-        if sub is not None:
-            return _synthesize_sparse(sub, p, q, fairness)
-        return _synthesize_dense(program, p, q, fairness)
+            if isinstance(view, PartialResult):
+                return view
+            return _synthesize(view, p, q, fairness)
 
 
-def _synthesize_dense(
-    program: Program, p: Predicate, q: Predicate, fairness: str
-) -> LeadsToProof:
-    """Dense-tier synthesis over full-space masks and successor tables."""
-    ts = TransitionSystem.for_program(program)
-    space = ts.space
-    if fairness == "strong":
-        from repro.semantics.strong_fairness import strong_fair_scc_analysis
-
-        analysis = strong_fair_scc_analysis(program, q)
-    else:
-        analysis = fair_scc_analysis(program, q)
-    pm = p.mask(space)
+def _synthesize(view, p: Predicate, q: Predicate, fairness: str) -> LeadsToProof:
+    """Synthesis over a state view: the fair analysis of its ``¬q``
+    subgraph, then one induction level per SCC of the region the
+    obligation touches.  On a reachable subspace the levels are sets of
+    reachable global indices and the certificate concludes the
+    reachable-restricted judgment."""
+    analysis = fair_analysis(view, q, strong=fairness == "strong")
+    pm = view.pred_mask(p)
 
     bad = pm & analysis.avoid_mask
     if bad.any():
-        state = space.state_at(int(np.flatnonzero(bad)[0]))
+        state = view.state_at_local(int(np.flatnonzero(bad)[0]))
         raise ProofError(
             f"cannot synthesize a proof of {p.describe()} ~> {q.describe()}: "
             f"the property fails under {fairness} fairness (scheduler can "
-            f"avoid q from {state!r})"
+            f"avoid q from {view.scope}{state!r}){view.extent}"
         )
 
     # Restrict to the part of the safe region the obligation actually
     # touches: the forward closure of p ∧ ¬q (successors leaving ¬q are
     # dropped — exits to q end the obligation).
     seeds = pm & analysis.notq_mask
-    region = ts.graph().forward_closure(seeds, allowed=analysis.notq_mask)
+    region = view.graph().forward_closure(seeds, allowed=analysis.notq_mask)
 
     if not region.any():
         # p ⇒ q: a single Implication suffices.
@@ -215,62 +182,12 @@ def _synthesize_dense(
     # (sinks-first) order.  An SCC intersecting the region is contained in
     # it (regions are closed and SCC members are mutually reachable).
     comps = [
-        (k, members)
-        for k, members in enumerate(analysis.cond.components)
-        if region[members[0]]
-    ]
-    return _columnar_induction(space, p, q, comps, fairness, member_word="states")
-
-
-def _synthesize_sparse(sub, p: Predicate, q: Predicate, fairness: str) -> LeadsToProof:
-    """Sparse-tier synthesis over a reachable subspace (local ids only).
-
-    The same construction as :func:`_synthesize_dense`, with every
-    full-space artifact replaced by its local-id twin: the fair analysis
-    runs on the sub-CSR (:func:`~repro.semantics.sparse.checkers.
-    sparse_fair_analysis`), the levels become
-    :class:`~repro.core.predicates.SupportPredicate` sets of reachable
-    global indices, and each ``exit`` predicate is ``q ∨ support(lower
-    levels)`` — a combinator, not a mask.  The certificate concludes the
-    reachable-restricted judgment and is re-checked end to end through
-    the tier-routed obligation checkers.
-    """
-    from repro.semantics.sparse.checkers import sparse_fair_analysis
-
-    space = sub.space
-    analysis = sparse_fair_analysis(sub, q, strong=(fairness == "strong"))
-    pm = sub.pred_mask(p)
-
-    bad = pm & analysis.avoid
-    if bad.any():
-        k = int(np.flatnonzero(bad)[0])
-        state = sub.state_at_local(k)
-        sources = np.zeros(sub.size, dtype=bool)
-        sources[k] = True
-        confining = sub.graph().path_between(
-            sources, analysis.fair_seed_mask(), allowed=analysis.notq
-        )
-        steps = 0 if confining is None else confining.shape[0] - 1
-        raise ProofError(
-            f"cannot synthesize a proof of {p.describe()} ~> {q.describe()}: "
-            f"the property fails under {fairness} fairness on the sparse "
-            f"tier (scheduler can avoid q from reachable {state!r}, "
-            f"reaching a fair SCC in {steps} ¬q-confined step(s))"
-        )
-
-    seeds = pm & analysis.notq
-    region = sub.graph().forward_closure(seeds, allowed=analysis.notq)
-
-    if not region.any():
-        return Implication(p, q)
-
-    comps = [
-        (k, sub.global_ids[members])
+        (k, view.global_of(members))
         for k, members in enumerate(analysis.cond.components)
         if region[members[0]]
     ]
     return _columnar_induction(
-        space, p, q, comps, fairness, member_word="reachable states"
+        view.space, p, q, comps, fairness, member_word=f"{view.scope}states"
     )
 
 
@@ -285,9 +202,7 @@ def _columnar_induction(
     the :class:`~repro.core.rules.ColumnarInduction` record over it: no
     per-level predicate or rule object is built here (the record derives
     them on access), so synthesis stays linear in total member count
-    with a small constant.  Shared by both tiers (dense synthesis passes
-    full-space component arrays, sparse synthesis the reachable global
-    ids).
+    with a small constant.
     """
     rec = obs.get_recorder()
     if rec.enabled:
@@ -359,21 +274,11 @@ def check_certificate_batched(proof: LeadsToProof, program: Program, *, subspace
                 "metric-induction", f"malformed support table: {defect}"
             )
             return ProofCheckResult([failure], mode="batched")
-        if subspace is None:
-            from repro.semantics.sparse import routed_subspace
-
-            subspace = routed_subspace(program, "the batched certificate check")
+        view = subspace
+        if view is None:
+            view = routed_subspace(program, "the batched certificate check")
         # int64 headroom for the kernel's (level, member) search keys over the
-        # routed universe (never binding under the default sparse node limit).
-        universe = subspace.size if subspace is not None else space.size
-        if universe and layout.n_levels > (2**62) // universe:
+        # view's ids (never binding under the default sparse node limit).
+        if view.size and layout.n_levels > (2**62) // view.size:
             return proof.check(program)
-        if subspace is not None:
-            from repro.semantics.sparse.checkers import (
-                check_obligations_batched_sparse,
-            )
-
-            return check_obligations_batched_sparse(subspace, layout)
-        from repro.semantics.checker import check_obligations_batched
-
-        return check_obligations_batched(program, layout)
+        return check_obligations_batched(view, layout)

@@ -8,6 +8,15 @@ caches these tables; every semantic checker operates on them.
 Tables are built once per program (``TransitionSystem.for_program`` keeps a
 weak cache), so repeated property checks — the normal mode for the paper's
 long proof chains — pay the vectorized construction cost once.
+
+:class:`DenseView` presents the encoded space as a *state view*: the
+surface the judgments of :mod:`repro.semantics.checker`,
+:mod:`repro.semantics.leadsto` and :mod:`repro.semantics.synthesis` are
+written against.  Its ids are the global state indices, and it reaches
+the successor tables only when a judgment asks for them.  The sparse
+tier's :class:`~repro.semantics.sparse.explorer.ReachableSubspace` is the
+other view (local ids over the reachable states);
+:func:`repro.semantics.sparse.routed_subspace` picks one per program.
 """
 
 from __future__ import annotations
@@ -19,9 +28,10 @@ import numpy as np
 from repro import obs
 from repro.core.commands import Command
 from repro.core.program import Program
-from repro.core.state import StateSpace
+from repro.core.predicates import Predicate
+from repro.core.state import State, StateSpace
 
-__all__ = ["TransitionSystem"]
+__all__ = ["TransitionSystem", "DenseView"]
 
 _CACHE: "weakref.WeakKeyDictionary[Program, TransitionSystem]" = (
     weakref.WeakKeyDictionary()
@@ -140,3 +150,70 @@ class TransitionSystem:
             f"<TransitionSystem {self.program.name}: {self.space.size} states × "
             f"{len(self.tables)} commands>"
         )
+
+
+class DenseView:
+    """The whole encoded space as a state view (the dense tier).
+
+    Ids are global state indices, so every id map is the identity and a
+    judgment over this view quantifies over *all* states — the paper's
+    inductive semantics.  Successor tables and the union graph come from
+    the cached :class:`TransitionSystem`, built on first use only:
+    predicate-only judgments (validity, ``init``) never build them.
+
+    The wording and witness hooks (``tag``, ``scope``, ``extent``,
+    :meth:`census`, :meth:`path_witness`) are empty here: dense verdicts
+    carry no tier tag, reachable count or BFS path.
+    """
+
+    tier = "dense"
+    tag: dict = {}
+    scope = ""
+    extent = ""
+    stats: dict = {}
+
+    def __init__(self, program: Program) -> None:
+        self.program = program
+        self.space: StateSpace = program.space
+
+    @property
+    def size(self) -> int:
+        return int(self.space.size)
+
+    @property
+    def init_local(self) -> np.ndarray:
+        return np.flatnonzero(self.program.initial_mask())
+
+    def global_of(self, ids: np.ndarray) -> np.ndarray:
+        return ids
+
+    def localize(self, global_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(ids, keep)``: every global index is its own id."""
+        return global_idx, np.ones(global_idx.shape[0], dtype=bool)
+
+    def state_at_local(self, k: int) -> State:
+        return self.space.state_at(int(k))
+
+    def pred_mask(self, pred: Predicate) -> np.ndarray:
+        return pred.mask(self.space)
+
+    def succ_local(self, command: Command | str) -> np.ndarray:
+        return TransitionSystem.for_program(self.program).table_of(command)
+
+    def enabled_local(self, command: Command | str) -> np.ndarray:
+        if isinstance(command, str):
+            command = self.program.command_named(command)
+        return command.enabled_mask(self.space)
+
+    def graph(self) -> "GraphBackend":
+        return TransitionSystem.for_program(self.program).graph()
+
+    def reachable(self) -> np.ndarray:
+        """Mask of the states reachable from the initial set."""
+        return self.graph().forward_closure(self.program.initial_mask())
+
+    def census(self) -> dict:
+        return {}
+
+    def path_witness(self, k: int) -> dict:
+        return {}

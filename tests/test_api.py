@@ -230,16 +230,6 @@ class TestSignatureNormalization:
             )
             assert i_b < i_s < i_r, f"{fn.__name__} orders {params}"
 
-    def test_positional_fairness_deprecated(self, alloc):
-        from repro.semantics.synthesis import synthesize_leadsto_proof
-
-        prop = alloc.token_available()
-        with pytest.warns(DeprecationWarning, match="positionally"):
-            proof = synthesize_leadsto_proof(
-                alloc.system, prop.p, prop.q, "weak"
-            )
-        assert proof.check(alloc.system).ok
-
     def test_recorder_keyword_routes_through_obs(self, alloc):
         from repro import obs
         from repro.semantics.leadsto import check_leadsto

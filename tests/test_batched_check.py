@@ -117,9 +117,9 @@ class TestHealthyCertificates:
             sub = explore(program)
             if sub.size == 0:
                 continue
-            from repro.semantics.sparse.checkers import check_leadsto_sparse
+            from repro.semantics.leadsto import check_leadsto
 
-            if not check_leadsto_sparse(program, p, q).holds:
+            if not check_leadsto(program, p, q, subspace=sub).holds:
                 continue
             proof = synthesize_leadsto_proof(program, p, q, subspace=sub)
             if not isinstance(proof, MetricInduction):

@@ -1,13 +1,14 @@
 """Tests for repro.semantics.checker: the paper's inductive semantics of
 init / next / stable / transient / invariant, with counterexamples."""
 
-
+from repro import obs
 from repro.core.commands import GuardedCommand
 from repro.core.domains import IntRange
 from repro.core.expressions import ite, land
 from repro.core.predicates import ExprPredicate, FALSE, TRUE
 from repro.core.program import Program
 from repro.core.variables import Var
+from repro.obs import MetricsRecorder
 from repro.semantics.checker import (
     check_init,
     check_invariant,
@@ -59,6 +60,22 @@ class TestInit:
     def test_vacuous_when_no_initial_states(self):
         p = Program("Empty", [X], FALSE, [])
         assert check_init(p, FALSE).holds
+
+
+class TestDenseLaziness:
+    def test_predicate_only_judgments_build_no_successor_tables(self):
+        """Validity and ``init`` read predicate masks only: on the dense
+        tier they must not build the program's successor tables."""
+        program = sat_counter()  # fresh: no cached transition system
+        rec = MetricsRecorder()
+        with obs.use_recorder(rec):
+            assert check_validity(program, ExprPredicate(X.ref() == 3), TRUE).holds
+            assert check_init(program, ExprPredicate(X.ref() == 0)).holds
+            assert not check_init(program, ExprPredicate(X.ref() == 1)).holds
+        assert "dense.succ_table.builds" not in rec.totals()
+        with obs.use_recorder(rec):
+            check_next(program, TRUE, TRUE)
+        assert rec.totals()["dense.succ_table.builds"] > 0
 
 
 class TestNextStable:

@@ -13,7 +13,9 @@ from repro.semantics.leadsto import check_leadsto
 from repro.semantics.strong_fairness import (
     check_leadsto_strong,
     fairness_gap,
+    strong_fair_scc_analysis,
 )
+from repro.semantics.transition import TransitionSystem
 
 from tests.conftest import predicate_strategy, program_strategy
 
@@ -91,6 +93,36 @@ class TestGapWitness:
         prog = Program("V", [X, B], TRUE, [never, spin], fair=["never", "spin"])
         # ¬q region can host a strongly fair run despite `never ∈ D`.
         assert not check_leadsto_strong(prog, TRUE, pred(X.ref() == 3)).holds
+
+
+class TestStrongFailureWitness:
+    """A failing dense strong leads-to carries the same walks as the weak
+    checker: the fair SCC it settles in and a ``¬q``-confined path there."""
+
+    def test_confining_path_reaches_a_strongly_fair_scc(self):
+        # `inc` is not in D, so strong fairness cannot force x upwards:
+        # from x = 1 the scheduler toggles b forever.
+        toggle = GuardedCommand("toggle", True, [(B, lnot(B.ref()))])
+        inc = GuardedCommand("inc", land(B.ref(), X.ref() < 3), [(X, X.ref() + 1)])
+        prog = Program("NoD", [X, B], TRUE, [toggle, inc], fair=["toggle"])
+        p, q = pred(X.ref() == 1), pred(X.ref() == 3)
+
+        res = check_leadsto_strong(prog, p, q)
+        assert not res.holds
+        assert "tier" not in res.witness
+        witness = res.witness
+        path = witness["confining_path"]
+        assert path[0] == witness["state"]
+        assert p.holds(witness["state"])
+        assert all(not q.holds(s) for s in path)
+        space = prog.space
+        ts = TransitionSystem.for_program(prog)
+        for a, b in zip(path, path[1:]):
+            i = space.index_of(a)
+            assert any(int(t[i]) == space.index_of(b) for t in ts.tables.values())
+        seeds = strong_fair_scc_analysis(prog, q).fair_seed_mask()
+        assert seeds[space.index_of(path[-1])]
+        assert seeds[space.index_of(witness["fair_scc_state"])]
 
 
 class TestAgreementWhereGuardsPersist:
