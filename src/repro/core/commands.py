@@ -12,6 +12,11 @@ Commands here are **total deterministic state functions**:
 - :class:`AltCommand` — a first-match ``if g₁ → A₁ ▯ g₂ → A₂ …`` chain
   (deterministic alternative; semantically a single command).
 
+Commands are immutable.  A guarded or alternative command computes its
+``reads()``, ``writes()`` and ``body_key()`` once and keeps them in memo
+slots; copies made by ``renamed()``/``with_origins()`` start without
+them.  The memos are derived data and never part of a command's identity.
+
 Each command supports three complementary semantics, cross-validated by the
 test suite:
 
@@ -384,7 +389,7 @@ class GuardedCommand(Command):
     (UNITY multi-assignment semantics).
     """
 
-    __slots__ = ("guard", "assignments")
+    __slots__ = ("guard", "assignments", "_reads", "_writes", "_body_key")
 
     def __init__(
         self,
@@ -441,20 +446,35 @@ class GuardedCommand(Command):
         return _frontier_guard(self.guard, space.frontier_env(idx), idx.shape[0])
 
     def reads(self) -> frozenset[Var]:
+        try:
+            return self._reads
+        except AttributeError:
+            pass
         out = set(self.guard.variables())
         for a in self.assignments:
             out |= a.expr.variables()
-        return frozenset(out)
+        self._reads = found = frozenset(out)
+        return found
 
     def writes(self) -> frozenset[Var]:
-        return frozenset(a.var for a in self.assignments)
+        try:
+            return self._writes
+        except AttributeError:
+            pass
+        self._writes = found = frozenset(a.var for a in self.assignments)
+        return found
 
     def body_key(self) -> tuple:
-        return (
+        try:
+            return self._body_key
+        except AttributeError:
+            pass
+        self._body_key = key = (
             "guarded",
             self.guard._key(),
             tuple(sorted(a._key() for a in self.assignments)),
         )
+        return key
 
     def renamed(self, name: str) -> "GuardedCommand":
         return GuardedCommand(name, self.guard, self.assignments, self.origins)
@@ -471,7 +491,7 @@ class AltCommand(Command):
     """First-match deterministic alternative
     ``if g₁ → A₁ elif g₂ → A₂ … else skip`` as a single command."""
 
-    __slots__ = ("branches",)
+    __slots__ = ("branches", "_reads", "_writes", "_body_key")
 
     def __init__(
         self,
@@ -556,27 +576,42 @@ class AltCommand(Command):
         return out
 
     def reads(self) -> frozenset[Var]:
+        try:
+            return self._reads
+        except AttributeError:
+            pass
         out: set[Var] = set()
         for guard, assigns in self.branches:
             out |= guard.variables()
             for a in assigns:
                 out |= a.expr.variables()
-        return frozenset(out)
+        self._reads = found = frozenset(out)
+        return found
 
     def writes(self) -> frozenset[Var]:
+        try:
+            return self._writes
+        except AttributeError:
+            pass
         out: set[Var] = set()
         for _, assigns in self.branches:
             out |= {a.var for a in assigns}
-        return frozenset(out)
+        self._writes = found = frozenset(out)
+        return found
 
     def body_key(self) -> tuple:
-        return (
+        try:
+            return self._body_key
+        except AttributeError:
+            pass
+        self._body_key = key = (
             "alt",
             tuple(
                 (g._key(), tuple(sorted(a._key() for a in assigns)))
                 for g, assigns in self.branches
             ),
         )
+        return key
 
     def renamed(self, name: str) -> "AltCommand":
         return AltCommand(name, self.branches, self.origins)

@@ -16,6 +16,7 @@ discipline — component specifications name only their own locals).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.core.program import Program
@@ -53,14 +54,15 @@ class CompatibilityReport:
         return f"{self.left} || {self.right}: NOT composable ({joined})"
 
 
-def _merge_variables(f: Program, g: Program) -> tuple[list[Var], list[str]]:
-    """Merged declaration list (F's order, then G's new names) + problems."""
-    problems: list[str] = []
-    by_name: dict[str, Var] = {}
-    merged: list[Var] = []
-    for v in f.variables:
-        by_name[v.name] = v
-        merged.append(v)
+def _merge_step(
+    by_name: dict[str, Var], merged: list[Var], left: str, g: Program
+) -> list[str]:
+    """One ``left ∘ g`` step of the declaration union: append ``g``'s new
+    variables to ``merged``/``by_name`` (the union so far, named
+    ``left``) and return why ``left ∥ g`` fails — empty if composable."""
+    reasons: list[str] = []
+    if left == g.name:
+        reasons.append(f"components share the name {left!r}")
     for v in g.variables:
         prev = by_name.get(v.name)
         if prev is None:
@@ -68,18 +70,21 @@ def _merge_variables(f: Program, g: Program) -> tuple[list[Var], list[str]]:
             merged.append(v)
             continue
         if prev.is_local() or v.is_local():
-            problems.append(
+            reasons.append(
                 f"variable {v.name} is declared local by "
-                f"{f.name if prev.is_local() else g.name} but is also "
+                f"{left if prev.is_local() else g.name} but is also "
                 f"declared by the other component (locality violation)"
             )
         elif prev.domain != v.domain:
-            problems.append(
+            reasons.append(
                 f"shared variable {v.name} has mismatched domains: "
-                f"{prev.domain!r} in {f.name} vs {v.domain!r} in {g.name}"
+                f"{prev.domain!r} in {left} vs {v.domain!r} in {g.name}"
             )
         # identical shared re-declaration merges silently
-    return merged, problems
+    return reasons
+
+
+_NO_INIT = "conjunction of initially predicates is unsatisfiable (no initial state)"
 
 
 def compatibility_report(
@@ -91,67 +96,18 @@ def compatibility_report(
     ``initially`` predicates is satisfiable over the merged state space
     (semantic check; skip for very large spaces and check later).
     """
-    reasons: list[str] = []
-    if f.name == g.name:
-        reasons.append(f"components share the name {f.name!r}")
-    merged, var_problems = _merge_variables(f, g)
-    reasons.extend(var_problems)
-
+    merged = list(f.variables)
+    reasons = _merge_step({v.name: v for v in merged}, merged, f.name, g)
     if not reasons and check_init:
-        composed = _compose_unchecked(f, g, name="__compat_probe__")
+        composed = compose_all((f, g), name="__compat_probe__", check_init=False)
         if not composed.has_initial_state():
-            reasons.append(
-                "conjunction of initially predicates is unsatisfiable "
-                "(no initial state)"
-            )
+            reasons.append(_NO_INIT)
     return CompatibilityReport(f.name, g.name, ok=not reasons, reasons=reasons)
 
 
 def can_compose(f: Program, g: Program, *, check_init: bool = True) -> bool:
     """Boolean form of :func:`compatibility_report` (the paper's ``F ∥ G``)."""
     return compatibility_report(f, g, check_init=check_init).ok
-
-
-def _compose_unchecked(f: Program, g: Program, name: str) -> Program:
-    merged_vars, _ = _merge_variables(f, g)
-    # Command union: resolve *name* collisions between distinct bodies by
-    # prefixing with the component name; structural duplicates merge inside
-    # the Program constructor.
-    f_keys = {c.body_key(): c for c in f.commands}
-    commands = list(f.commands)
-    fair: set[str] = set(f.fair_names)
-    for cmd in g.commands:
-        key = cmd.body_key()
-        if key in f_keys:
-            # Same body: the union has one element; fairness is inherited if
-            # either side lists it as fair.
-            if cmd.name in g.fair_names:
-                fair.add(f_keys[key].name)
-            # Merge provenance through a replacement entry.
-            idx = commands.index(f_keys[key])
-            commands[idx] = commands[idx].with_origins(
-                commands[idx].origins | cmd.origins | frozenset({g.name})
-            )
-            continue
-        new_name = cmd.name
-        if any(c.name == new_name for c in commands):
-            new_name = f"{g.name}.{cmd.name}"
-            if any(c.name == new_name for c in commands):
-                raise CompositionError(
-                    f"cannot disambiguate command name {cmd.name!r} from "
-                    f"{g.name}"
-                )
-            cmd = cmd.renamed(new_name)
-        commands.append(cmd)
-        if key in {c.body_key() for c in g.fair_commands}:
-            fair.add(cmd.name)
-    return Program(
-        name,
-        merged_vars,
-        f.init & g.init,
-        commands,
-        fair=sorted(fair),
-    )
 
 
 def compose(
@@ -162,36 +118,92 @@ def compose(
     Raises :class:`CompositionError` when ``F ∥ G`` fails (the paper's
     composability condition).
     """
-    report = compatibility_report(f, g, check_init=check_init)
-    if not report.ok:
-        raise CompositionError(report.explain())
-    return _compose_unchecked(f, g, name or f"({f.name}||{g.name})")
+    return compose_all((f, g), name=name or None, check_init=check_init)
 
 
 def compose_all(
-    programs: list[Program] | tuple[Program, ...],
+    programs: Sequence[Program],
     *,
     name: str | None = None,
     check_init: bool = True,
 ) -> Program:
-    """Left fold of :func:`compose` over two or more components.
+    """The composition of one or more components, built in one pass.
+
+    The result equals the left fold of :func:`compose`: the same
+    variable order, command names (collision prefixes included),
+    provenance and fair set, and the same error at the first
+    incompatible step.  Each step ``acc ∘ g`` runs on plain containers,
+    with ``acc`` named as the fold names it (``((A||B)||C)``, or
+    ``name`` at the end), and only the final :class:`Program` is built
+    and validated.  The command union resolves *name* collisions
+    between distinct bodies by prefixing the component name;
+    structurally identical commands are one element of the union, whose
+    provenance and fairness merge.  ``check_init`` probes the final
+    ``initially`` conjunction, as the fold's last step does.
 
     Composition is associative and commutative up to command/variable
-    ordering, so the fold order does not affect semantics (the test suite
+    ordering, so the order does not affect semantics (the test suite
     checks this).
     """
     if not programs:
         raise CompositionError("compose_all of an empty component list")
     if len(programs) == 1:
         return programs[0]
-    out = programs[0]
-    for nxt in programs[1:-1]:
-        out = compose(out, nxt, check_init=False)
-    out = compose(out, programs[-1], check_init=check_init)
-    if name is not None:
-        out = Program(
-            name, out.variables, out.init, out.commands, fair=sorted(out.fair_names)
+    first = programs[0]
+    acc = left = first.name
+    variables = list(first.variables)
+    by_name = {v.name: v for v in variables}
+    init = first.init
+    commands = list(first.commands)
+    slot_of = {c.body_key(): i for i, c in enumerate(commands)}
+    cmd_names = {c.name for c in commands}
+    fair = set(first.fair_names)
+    for g in programs[1:]:
+        left = acc
+        reasons = _merge_step(by_name, variables, left, g)
+        if reasons:
+            report = CompatibilityReport(left, g.name, ok=False, reasons=reasons)
+            raise CompositionError(report.explain())
+        init = init & g.init
+        for cmd in g.commands:
+            key = cmd.body_key()
+            slot = slot_of.get(key)
+            if slot is not None:
+                prev = commands[slot]
+                if cmd.name in g.fair_names:
+                    fair.add(prev.name)
+                commands[slot] = prev.with_origins(
+                    prev.origins | cmd.origins | frozenset({g.name})
+                )
+                continue
+            new_name = cmd.name
+            if new_name in cmd_names:
+                new_name = f"{g.name}.{cmd.name}"
+                if new_name in cmd_names:
+                    raise CompositionError(
+                        f"cannot disambiguate command name {cmd.name!r} from "
+                        f"{g.name}"
+                    )
+            if cmd.name in g.fair_names:
+                fair.add(new_name)
+            if new_name != cmd.name:
+                cmd = cmd.renamed(new_name)
+            slot_of[key] = len(commands)
+            commands.append(cmd)
+            cmd_names.add(new_name)
+        acc = f"({acc}||{g.name})"
+    out = Program(
+        acc if name is None else name,
+        variables,
+        init,
+        commands,
+        fair=sorted(fair),
+    )
+    if check_init and not out.has_initial_state():
+        report = CompatibilityReport(
+            left, programs[-1].name, ok=False, reasons=[_NO_INIT]
         )
+        raise CompositionError(report.explain())
     return out
 
 
@@ -220,11 +232,9 @@ def lifted(program: Program, ambient: "Program | Sequence[Var]") -> Program:
     ``ambient`` is either the system :class:`Program` or an explicit
     variable sequence; it must declare every variable of ``program``.
     """
-    from collections.abc import Sequence as _Seq
-
     if isinstance(ambient, Program):
         ambient_vars = ambient.variables
-    elif isinstance(ambient, _Seq):
+    elif isinstance(ambient, Sequence):
         ambient_vars = tuple(ambient)
     else:  # pragma: no cover - defensive
         raise CompositionError(f"cannot lift over {ambient!r}")

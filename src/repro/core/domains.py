@@ -221,6 +221,21 @@ class EnumDomain(FiniteDomain):
         table = np.array(self.labels, dtype=object)
         return table[indices]
 
+    def encode_array(self, values: np.ndarray) -> np.ndarray:
+        # One C-level pass over the label table; a miss re-runs the bad
+        # element through index_of for its error.
+        values = np.asarray(values, dtype=object).ravel()
+        try:
+            return np.fromiter(
+                map(self._index.__getitem__, values),
+                dtype=np.int64,
+                count=values.shape[0],
+            )
+        except (KeyError, TypeError):
+            for v in values:
+                self.index_of(v)
+            raise  # pragma: no cover - index_of raised above
+
     def __repr__(self) -> str:
         return f"enum:{self.name}{{{','.join(map(str, self.labels))}}}"
 

@@ -16,6 +16,12 @@ Typing is eager and strict: every node carries a type (``'int'``, ``'bool'``
 or an :class:`~repro.core.domains.EnumDomain`) computed at construction, so
 malformed trees fail fast rather than at evaluation time.
 
+Nodes are immutable, so the facts derived from a tree — its variable set
+and its rendered text — are computed once per node and kept in memo slots.
+The memos are derived data only: they never take part in
+:meth:`Expr._key` or :meth:`Expr.same_as`, and a node built by
+:meth:`Expr.substitute` starts without them.
+
 Operator sugar: ``+ - * // %`` build arithmetic nodes; ``< <= > >= == !=``
 build comparisons; ``& | ~`` build boolean connectives.  Because ``==`` is
 overloaded, :class:`Expr` objects are deliberately **unhashable** and raise
@@ -76,7 +82,7 @@ class Expr:
     and :meth:`_fmt`.
     """
 
-    __slots__ = ("typ",)
+    __slots__ = ("typ", "_vars", "_text")
 
     typ: TypeTag
 
@@ -107,16 +113,28 @@ class Expr:
         raise NotImplementedError
 
     def variables(self) -> frozenset[Var]:
-        """All variables named anywhere in the tree."""
+        """All variables named anywhere in the tree (memoized per node).
+
+        The walk stops at any subtree whose own set is already known.
+        """
+        try:
+            return self._vars
+        except AttributeError:
+            pass
         out: set[Var] = set()
         stack: list[Expr] = [self]
         while stack:
             node = stack.pop()
             if isinstance(node, VarRef):
                 out.add(node.var)
+                continue
+            known = getattr(node, "_vars", None)
+            if known is not None:
+                out |= known
             else:
                 stack.extend(node.children())
-        return frozenset(out)
+        self._vars = found = frozenset(out)
+        return found
 
     def count_nodes(self) -> int:
         """Total number of nodes in the tree (bench/diagnostic metric)."""
@@ -144,16 +162,24 @@ class Expr:
         raise NotImplementedError
 
     def _fmt_child(self, child: "Expr", *, strict: bool = False) -> str:
-        text = child._fmt()
+        # Reads the child's memo inline (not through str()), so rendering
+        # recurses two frames per tree level, as deep trees need.
+        text = getattr(child, "_text", None)
+        if text is None:
+            child._text = text = child._fmt()
         if child._prec < self._prec or (strict and child._prec == self._prec):
             return f"({text})"
         return text
 
     def __str__(self) -> str:
-        return self._fmt()
+        """The rendered text (memoized per node)."""
+        text = getattr(self, "_text", None)
+        if text is None:
+            self._text = text = self._fmt()
+        return text
 
     def __repr__(self) -> str:
-        return f"<Expr {self._fmt()}>"
+        return f"<Expr {self}>"
 
     # -- operator sugar ----------------------------------------------------
 

@@ -53,7 +53,7 @@ class Var:
     merge silently under composition.
     """
 
-    __slots__ = ("name", "domain", "locality")
+    __slots__ = ("name", "domain", "locality", "_hash")
 
     def __init__(
         self,
@@ -70,6 +70,10 @@ class Var:
         self.name = name
         self.domain = domain
         self.locality = locality
+        # Hashed once: a Var keys every environment, footprint and writer
+        # index, and rehashing the domain and the enum each time dominated
+        # the compositional checker.
+        self._hash = hash((Var, name, domain, locality))
 
     # -- constructors -------------------------------------------------------
 
@@ -139,4 +143,4 @@ class Var:
         )
 
     def __hash__(self) -> int:
-        return hash((Var, self.name, self.domain, self.locality))
+        return self._hash

@@ -59,12 +59,13 @@ from repro.core.rules import (
     PSP,
     Transitivity,
 )
+from repro.errors import PropertyError
 from repro.semantics.obligations import FOOTPRINT_MAX, FootprintKernel
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.commands import Command
     from repro.core.predicates import Predicate
     from repro.core.program import Program
+    from repro.core.variables import Var
 
 __all__ = ["CompositionalCheckResult", "check_compositional"]
 
@@ -90,13 +91,6 @@ class CompositionalCheckResult(ProofCheckResult):
         )
 
 
-def _writes(cmd: "Command") -> frozenset:
-    try:
-        return cmd.writes()
-    except Exception:
-        return frozenset()
-
-
 class _Walker:
     """One memoized walk of a certificate's rule tree."""
 
@@ -110,6 +104,31 @@ class _Walker:
         self.kernel = kernel
         self.result = result
         self._seen: set[int] = set()
+        commands = system.commands
+        # The writer index: var → positions (in system.commands order) of
+        # the commands that may write it.  A command whose write set cannot
+        # be read is refused, and counted as a writer of every variable so
+        # the frame rule never skips it.
+        self._writers: dict["Var", list[int]] = {}
+        self._opaque: list[int] = []
+        for pos, cmd in enumerate(commands):
+            try:
+                written = cmd.writes()
+            except Exception as exc:
+                self.fail(
+                    "frame",
+                    f"refused: the write set of command {cmd.name} is "
+                    f"unavailable ({exc}); the frame rule cannot skip it",
+                )
+                self._opaque.append(pos)
+                continue
+            for v in written:
+                self._writers.setdefault(v, []).append(pos)
+        # Fair commands in name order: the transient candidates' tiebreak.
+        self._fair_by_name = sorted(
+            (pos for pos, c in enumerate(commands) if c.name in system.fair_names),
+            key=lambda pos: commands[pos].name,
+        )
 
     # -- plumbing ----------------------------------------------------------
 
@@ -123,6 +142,14 @@ class _Walker:
 
     # -- the next-obligation workhorse ------------------------------------
 
+    def writers_of(self, variables) -> set[int]:
+        """Positions in ``system.commands`` of the commands that may
+        write any of ``variables``."""
+        hits = set(self._opaque)
+        for v in variables:
+            hits.update(self._writers.get(v, ()))
+        return hits
+
     def check_next(
         self, path: str, pre: "Predicate", post: "Predicate", label: str
     ) -> None:
@@ -131,14 +158,25 @@ class _Walker:
         Sound only when ``pre ⇒ post`` propositionally on the frame case
         — callers pass ``pre = p ∧ ¬q`` and ``post = p ∨ q``, for which a
         command not writing ``vars(pre) ∪ vars(post)`` preserves ``pre``
-        and ``pre ⇒ post`` holds by construction.
+        and ``pre ⇒ post`` holds by construction.  Only the writers are
+        visited; every other command is one frame-rule skip, counted as
+        a discharged obligation.  The skip needs exact variable sets, so
+        a predicate without an expression form (a callable reports no
+        variables at all) is refused.
         """
-        relevant = set(pre.variables()) | set(post.variables())
-        for cmd in self.system.commands:
-            if not (_writes(cmd) & relevant):
-                self.result.frame_skips += 1
-                self.result.obligations_checked += 1
-                continue
+        for side in (pre, post):
+            try:
+                side.as_expr()
+            except PropertyError as exc:
+                self.fail(path, f"refused: {label}: {exc}")
+                return
+        commands = self.system.commands
+        writers = self.writers_of(pre.variables() | post.variables())
+        skipped = len(commands) - len(writers)
+        self.result.frame_skips += skipped
+        self.result.obligations_checked += skipped
+        for pos in sorted(writers):
+            cmd = commands[pos]
             res = self.kernel.check_wp(pre, cmd, post)
             self.obligation(path, res, f"{label} (command {cmd.name})")
 
@@ -150,9 +188,7 @@ class _Walker:
         self._seen.add(id(node))
         self.result.nodes_checked += 1
         if isinstance(node, Implication):
-            self.obligation(
-                path, self.kernel.entails(node.p, node.q), "implication"
-            )
+            self.obligation(path, self.kernel.entails(node.p, node.q), "implication")
         elif isinstance(node, Transitivity):
             self.obligation(
                 path,
@@ -206,9 +242,7 @@ class _Walker:
     def _walk_support_split(self, node: SupportSplit, path: str) -> None:
         # Branch shapes: each premise must start exactly from its case.
         positives, zero = node.branch_predicates()
-        for i, (sub, expected) in enumerate(
-            zip(node.positive_subs, positives)
-        ):
+        for i, (sub, expected) in enumerate(zip(node.positive_subs, positives)):
             self.obligation(
                 path,
                 self.kernel.equal(sub.lhs(), expected),
@@ -244,9 +278,7 @@ class _Walker:
         # the conservation route: per-command weighted write deltas, an
         # obligation over vars(command) only.
         if node.s is node.t or node.s.describe() == node.t.describe():
-            stable = self.kernel.check_linear_stable(
-                node.s, self.system.commands
-            )
+            stable = self.kernel.check_linear_stable(node.s, self.system.commands)
             if stable.ok or _is_linear_equality(node.s):
                 self.obligation(path, stable, "psp stability (linear)")
                 self.walk(node.sub, f"{path}.0:{node.sub.rule_name}")
@@ -256,21 +288,14 @@ class _Walker:
 
     def _walk_ensures(self, node: Ensures, path: str) -> None:
         region = node.p & ~node.q
-        self.check_next(
-            path, region, node.p | node.q, "ensures next obligation"
-        )
+        self.check_next(path, region, node.p | node.q, "ensures next obligation")
         # transient (p ∧ ¬q): some fair command exits the region from
         # every region state.  Weak-rule obligations are checked even for
         # fairness="strong" nodes — strictly stronger, hence sound.
         self.result.obligations_checked += 1
-        region_vars = set(region.variables())
-        candidates = sorted(
-            (c for c in self.system.commands if c.name in self.system.fair_names),
-            key=lambda c: (not (_writes(c) & region_vars), c.name),
-        )
         last = "the program has no fair commands (D = ∅)"
         exit_pred = ~region
-        for cmd in candidates:
+        for cmd in self._transient_candidates(region):
             res = self.kernel.check_wp(region, cmd, exit_pred)
             if res.ok:
                 return
@@ -282,6 +307,18 @@ class _Walker:
             f"{last})",
         )
 
+    def _transient_candidates(self, region: "Predicate"):
+        """Fair commands in ``(not writes-region, name)`` order, lazily:
+        the fair writers of ``vars(region)`` by name, then the rest."""
+        commands = self.system.commands
+        writers = self.writers_of(region.variables())
+        for pos in self._fair_by_name:
+            if pos in writers:
+                yield commands[pos]
+        for pos in self._fair_by_name:
+            if pos not in writers:
+                yield commands[pos]
+
     def _walk_strong_ensures(self, node: StrongEnsures, path: str) -> None:
         if node.helpful not in self.system.fair_names:
             self.fail(
@@ -291,9 +328,7 @@ class _Walker:
             )
             return
         rho = node.region()
-        self.check_next(
-            path, rho, node.p | node.q, "strong-ensures next obligation"
-        )
+        self.check_next(path, rho, node.p | node.q, "strong-ensures next obligation")
         try:
             en = node.enabled_predicate(self.system)
         except Exception as exc:
@@ -348,9 +383,7 @@ def _check_locality(
             result.obligations_checked += 1
             report = compatibility_report(comps[i], comps[j], check_init=False)
             if not report.ok:
-                result.failures.append(
-                    ProofFailure("locality", report.explain())
-                )
+                result.failures.append(ProofFailure("locality", report.explain()))
 
 
 def _check_membership(

@@ -122,6 +122,60 @@ class TestGuardedCommand:
         assert r.body_key() == self.inc.body_key()
 
 
+class TestMemos:
+    """reads()/writes()/body_key() are computed once per command; copies
+    start without the memos, and identity never depends on them."""
+
+    def _commands(self):
+        return [
+            GuardedCommand("g", B.ref(), [(X, ite(X.ref() < 3, X.ref() + 1, 0))]),
+            AltCommand("a", [(X.ref() == 0, [(X, 1)]), (B.ref(), [(B, False)])]),
+        ]
+
+    def test_memo_returns_the_computed_value(self):
+        for cmd in self._commands():
+            first = (cmd.reads(), cmd.writes(), cmd.body_key())
+            assert (cmd.reads(), cmd.writes(), cmd.body_key()) == first
+            assert cmd.writes() is cmd.writes()
+
+    def test_copies_start_without_memos(self):
+        for cmd in self._commands():
+            facts = (cmd.reads(), cmd.writes(), cmd.body_key())
+            for copy in (cmd.renamed("other"), cmd.with_origins(frozenset({"F"}))):
+                for slot in ("_reads", "_writes", "_body_key"):
+                    assert getattr(copy, slot, None) is None
+                assert (copy.reads(), copy.writes(), copy.body_key()) == facts
+
+    def test_body_key_ignores_memos(self):
+        for fresh, used in zip(self._commands(), self._commands()):
+            used.reads()
+            used.writes()
+            used.body_key()
+            assert fresh.body_key() == used.body_key()
+
+
+class TestEnumFrontier:
+    def test_leaving_the_domain_keeps_its_message(self):
+        from repro.core.domains import EnumDomain
+        from repro.core.expressions import Const
+
+        dom = EnumDomain("ph", ("idle", "busy"))
+        ph = Var.shared("ph", dom)
+        space = StateSpace([ph, B])
+        # A constant typed as the enum but holding a non-label: the
+        # frontier encoder must reject it through the command's message.
+        bad = GuardedCommand("bad", B.ref(), [(ph, Const("gone", dom))])
+        good = GuardedCommand("go", B.ref(), [(ph, Const("busy", dom))])
+        idx = np.arange(space.size, dtype=np.int64)
+        assert good.succ_of(space, idx).tolist() == [
+            space.index_of(good.apply(space.state_at(i))) for i in idx
+        ]
+        with pytest.raises(DomainError, match="leaves the domain"):
+            bad.succ_of(space, idx)
+        with pytest.raises(DomainError, match="leaves the domain"):
+            bad.succ_table(space)
+
+
 class TestAltCommand:
     def setup_method(self):
         self.alt = AltCommand("step", [

@@ -236,3 +236,165 @@ def test_random_pairs_compose_and_union_holds(pair):
     fair_bodies |= {g.command_named(n).body_key() for n in g.fair_names}
     c_fair_bodies = {c.command_named(n).body_key() for n in c.fair_names}
     assert c_fair_bodies == fair_bodies
+
+
+# ---------------------------------------------------------------------------
+# compose_all is one n-ary union, equal to the left fold of binary steps
+# ---------------------------------------------------------------------------
+
+
+def _fold_step(f, g, name):
+    """One binary union step, as compose() built it before compose_all
+    became n-ary (the reference the n-ary union must reproduce)."""
+    report = compatibility_report(f, g, check_init=False)
+    if not report.ok:
+        raise CompositionError(report.explain())
+    by_name = {v.name: v for v in f.variables}
+    merged = list(f.variables)
+    for v in g.variables:
+        if v.name not in by_name:
+            by_name[v.name] = v
+            merged.append(v)
+    f_keys = {c.body_key(): c for c in f.commands}
+    commands = list(f.commands)
+    fair = set(f.fair_names)
+    for cmd in g.commands:
+        key = cmd.body_key()
+        if key in f_keys:
+            if cmd.name in g.fair_names:
+                fair.add(f_keys[key].name)
+            idx = commands.index(f_keys[key])
+            commands[idx] = commands[idx].with_origins(
+                commands[idx].origins | cmd.origins | frozenset({g.name})
+            )
+            continue
+        new_name = cmd.name
+        if any(c.name == new_name for c in commands):
+            new_name = f"{g.name}.{cmd.name}"
+            if any(c.name == new_name for c in commands):
+                raise CompositionError(f"cannot disambiguate {cmd.name!r}")
+            cmd = cmd.renamed(new_name)
+        commands.append(cmd)
+        if key in {c.body_key() for c in g.fair_commands}:
+            fair.add(cmd.name)
+    return Program(name, merged, f.init & g.init, commands, fair=sorted(fair))
+
+
+def _left_fold(programs, name=None):
+    out = programs[0]
+    for nxt in programs[1:]:
+        out = _fold_step(out, nxt, f"({out.name}||{nxt.name})")
+    if name is not None:
+        out = Program(
+            name, out.variables, out.init, out.commands, fair=sorted(out.fair_names)
+        )
+    return out
+
+
+def _assert_same_program(got, want):
+    assert got.name == want.name
+    assert [repr(v) for v in got.variables] == [repr(v) for v in want.variables]
+    assert got.variables == want.variables
+    assert got.init.describe() == want.init.describe()
+    assert [
+        (c.name, c.body_key(), c.origins, c.describe()) for c in got.commands
+    ] == [(c.name, c.body_key(), c.origins, c.describe()) for c in want.commands]
+    assert got.fair_names == want.fair_names
+
+
+def _recorded_compositions(monkeypatch, module, build):
+    """Run ``build`` with ``module.compose_all`` recorded."""
+    calls = []
+    real = module.compose_all
+
+    def recording(programs, **kw):
+        out = real(programs, **kw)
+        calls.append((list(programs), kw, out))
+        return out
+
+    monkeypatch.setattr(module, "compose_all", recording)
+    build()
+    assert calls
+    return calls
+
+
+class TestComposeAllIsTheFold:
+    @pytest.mark.parametrize(
+        "family, params",
+        [
+            ("torus", {"rows": 3, "cols": 3}),
+            ("hypercube", {"d": 3}),
+            ("regular", {"n": 8, "d": 3, "seed": 1}),
+            ("fanout", {}),
+            ("mesh", {"pools": 2, "clients": 3, "total": 2}),
+        ],
+    )
+    def test_scenario_families(self, family, params, monkeypatch):
+        from repro.gen.families import build_scenario
+        from repro.systems import fanout, mesh, philosophers
+
+        module = {"fanout": fanout, "mesh": mesh}.get(family, philosophers)
+        calls = _recorded_compositions(
+            monkeypatch, module, lambda: build_scenario(family, **params)
+        )
+        for programs, kw, out in calls:
+            _assert_same_program(out, _left_fold(programs, kw.get("name")))
+
+    def test_hetero_stack(self, monkeypatch):
+        from repro.systems import compose_proof
+
+        calls = _recorded_compositions(
+            monkeypatch,
+            compose_proof,
+            lambda: compose_proof.build_hetero_stack(12, clients=3, total=2),
+        )
+        for programs, kw, out in calls:
+            _assert_same_program(out, _left_fold(programs, kw.get("name")))
+
+    def test_collisions_merges_and_nested_names(self):
+        """Same-named distinct bodies get component prefixes; identical
+        bodies merge provenance and fairness; unnamed results carry the
+        fold's nested name."""
+        dec = GuardedCommand("inc", X.ref() > 0, [(X, X.ref() - 1)])
+        reset = GuardedCommand("inc", B.ref(), [(X, 0)])
+        f = prog("F", [X], commands=[inc()])
+        g = prog("G", [X], commands=[dec, inc("up")])
+        h = prog("H", [X, B], commands=[reset, inc("again")])
+        k = prog("K", [X, B], commands=[inc("K.inc")], fair=["K.inc"])
+        programs = [f, g, h, k]
+        got = compose_all(programs, check_init=False)
+        _assert_same_program(got, _left_fold(programs))
+        assert got.name == "(((F||G)||H)||K)"
+        assert {"inc", "G.inc", "H.inc"} <= {c.name for c in got.commands}
+        # G's "up", H's "again" and K's "K.inc" are F's body: one element
+        # of the union, fair because K lists it as fair.
+        assert "inc" in got.fair_names
+        assert got.command_named("inc").origins == frozenset("FGHK")
+        _assert_same_program(
+            compose_all(programs, name="S", check_init=False),
+            _left_fold(programs, "S"),
+        )
+
+    def test_errors_name_the_failing_step(self):
+        """The first incompatible step raises the fold's message."""
+        f = prog("F", [X])
+        g = prog("G", [B])
+        h = prog("H", [Var.shared("x", IntRange(0, 5))])
+        for programs in ([f, g, h], [f, g, prog("(F||G)", [])]):
+            with pytest.raises(CompositionError) as nary:
+                compose_all(programs, check_init=False)
+            with pytest.raises(CompositionError) as fold:
+                _left_fold(programs)
+            assert str(nary.value) == str(fold.value)
+            assert "(F||G)" in str(nary.value)
+
+    def test_unsatisfiable_initially_is_checked_once_at_the_end(self):
+        a = prog("A", [X], init=ExprPredicate(X.ref() == 0))
+        b = prog("B", [B])
+        c = prog("C", [X], init=ExprPredicate(X.ref() == 1))
+        with pytest.raises(CompositionError) as nary:
+            compose_all([a, b, c])
+        with pytest.raises(CompositionError) as pairwise:
+            compose(compose(a, b, check_init=False), c)
+        assert str(nary.value) == str(pairwise.value)
+        assert compose_all([a, b, c], check_init=False).name == "((A||B)||C)"

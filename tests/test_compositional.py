@@ -27,7 +27,8 @@ from repro.core.predicates import ExprPredicate
 from repro.core.program import Program
 from repro.core.rules import Implication
 from repro.core.variables import Var
-from repro.semantics.compositional import check_compositional
+from repro.semantics import compositional
+from repro.semantics.compositional import _Walker, check_compositional
 from repro.semantics.strong_fairness import check_leadsto_strong
 from repro.systems.compose_proof import (
     build_delivery_certificate,
@@ -86,6 +87,11 @@ class TestCertification:
         # stayed below the kernel cap, which is microscopic next to the
         # encoded product.
         assert res.footprint_evaluations < 50_000
+        # The exact work, pinned: a change here is a change in what the
+        # frame rule and the footprint kernel do, not noise.
+        assert res.obligations_checked == 14462
+        assert res.frame_skips == 8697
+        assert res.footprint_evaluations == 8821
 
     def test_certificate_records_the_derivation(self, small_stack):
         pa, cert = small_stack
@@ -119,24 +125,122 @@ def _failure_text(res) -> str:
     return "\n".join(str(f) for f in res.failures)
 
 
+# Injected faults: each function returns a certificate the kernel must
+# refuse, plus the ``check_compositional`` keywords its test uses.
+
+
+def _interfering_command(pa, cert):
+    """A command that writes a relevant variable out from under the
+    proof (un-does delivery)."""
+    done = pa.system.var_named("done")
+    undo = GuardedCommand("undo", done.ref() > 0, [(done, done.ref() - 1)])
+    sabotaged = Program(
+        pa.system.name + "+undo",
+        pa.system.variables,
+        pa.system.init,
+        [*pa.system.commands, undo],
+        fair=sorted(pa.system.fair_names),
+    )
+    return dataclasses.replace(cert, system=sabotaged), {"check_components": False}
+
+
+def _inconsistent_initially(pa, cert):
+    x = Var.shared("x", IntRange(0, 3))
+    a = Program("A", [x], ExprPredicate(x.ref() == 0), [])
+    b = Program("B", [x], ExprPredicate(x.ref() == 1), [])
+    p = ExprPredicate(x.ref() == 0)
+    bad = CompositionalCertificate(
+        system=a,
+        components=(a, b),
+        p=p,
+        q=p,
+        fairness="weak",
+        proof=Implication(p, p),
+    )
+    return bad, {}
+
+
+def _negative_split_variable(pa, cert):
+    """A split variable whose domain admits negatives."""
+    x = Var.shared("neg", IntRange(-1, 2))
+    prog = Program("Neg", [x], ExprPredicate(x.ref() == 0), [])
+    base = ExprPredicate(x.ref() <= 2)
+    goal = ExprPredicate(x.ref() >= -1)
+    split = SupportSplit(
+        base,
+        (x,),
+        (Implication(base & ExprPredicate(x.ref() > 0), goal),),
+        Implication(base & ExprPredicate(x.ref() == 0), goal),
+    )
+    bad = CompositionalCertificate(
+        system=prog,
+        components=(prog,),
+        p=base,
+        q=goal,
+        fairness="weak",
+        proof=split,
+    )
+    return bad, {}
+
+
+def _tampered_branch_shape(pa, cert):
+    """A support-split branch rewritten to start from the wrong case."""
+    split = _find_support_split(cert.proof)
+    assert split is not None
+    wrong = ExprPredicate(pa.system.var_named("done").ref() >= 0)
+    tampered = SupportSplit(
+        split.base,
+        split.split_vars,
+        (
+            Implication(wrong, split.positive_subs[0].rhs()),
+            *split.positive_subs[1:],
+        ),
+        split.zero_sub,
+    )
+    return dataclasses.replace(cert, proof=tampered), {"check_components": False}
+
+
+def _membership_lie(pa, cert):
+    """A component dropped from the list (its commands go unaccounted)."""
+    bad = dataclasses.replace(cert, components=cert.components[:-1])
+    return bad, {"check_components": False}
+
+
+def _unknown_rule(pa, cert):
+    """A rule with no local argument (a bare transient basis)."""
+    from repro.core.rules import TransientBasis
+
+    x = Var.shared("t", IntRange(0, 1))
+    flip = GuardedCommand("flip", x.ref() == 0, [(x, 1)])
+    prog = Program("T", [x], ExprPredicate(x.ref() == 0), [flip], fair=["flip"])
+    node = TransientBasis(ExprPredicate(x.ref() == 0))
+    bad = CompositionalCertificate(
+        system=prog,
+        components=(prog,),
+        p=node.lhs(),
+        q=node.rhs(),
+        fairness="weak",
+        proof=node,
+    )
+    return bad, {}
+
+
+INJECTED_FAULTS = {
+    "interfering-command": _interfering_command,
+    "inconsistent-initially": _inconsistent_initially,
+    "negative-split-variable": _negative_split_variable,
+    "tampered-branch-shape": _tampered_branch_shape,
+    "membership-lie": _membership_lie,
+    "unknown-rule": _unknown_rule,
+}
+
+
 class TestRefusals:
     def test_interfering_command_fails_the_check(self, small_stack):
         """A command that writes a relevant variable out from under the
         proof (un-does delivery) must break the wp obligations."""
-        pa, cert = small_stack
-        done = pa.system.var_named("done")
-        undo = GuardedCommand(
-            "undo", done.ref() > 0, [(done, done.ref() - 1)]
-        )
-        sabotaged = Program(
-            pa.system.name + "+undo",
-            pa.system.variables,
-            pa.system.init,
-            [*pa.system.commands, undo],
-            fair=sorted(pa.system.fair_names),
-        )
-        bad = dataclasses.replace(cert, system=sabotaged)
-        res = check_compositional(bad, check_components=False)
+        bad, kw = _interfering_command(*small_stack)
+        res = check_compositional(bad, **kw)
         assert not res.ok
         # The interference is caught by a wp obligation naming the
         # command, and the membership check flags the unlisted command.
@@ -144,67 +248,26 @@ class TestRefusals:
         assert "undo" in text
         assert any(f.path == "membership" for f in res.failures)
 
-    def test_inconsistent_initially_conjunction_refused(self):
-        x = Var.shared("x", IntRange(0, 3))
-        a = Program("A", [x], ExprPredicate(x.ref() == 0), [])
-        b = Program("B", [x], ExprPredicate(x.ref() == 1), [])
-        p = ExprPredicate(x.ref() == 0)
-        cert = CompositionalCertificate(
-            system=a,
-            components=(a, b),
-            p=p,
-            q=p,
-            fairness="weak",
-            proof=Implication(p, p),
-        )
-        res = check_compositional(cert)
+    def test_inconsistent_initially_conjunction_refused(self, small_stack):
+        bad, kw = _inconsistent_initially(*small_stack)
+        res = check_compositional(bad, **kw)
         assert not res.ok
         assert any(f.path == "initially" for f in res.failures)
         assert "unsatisfiable" in _failure_text(res)
 
-    def test_broken_support_split_side_condition(self):
+    def test_broken_support_split_side_condition(self, small_stack):
         """A split variable whose domain admits negatives makes the case
         split non-exhaustive; the kernel must refuse, not assume."""
-        x = Var.shared("neg", IntRange(-1, 2))
-        prog = Program("Neg", [x], ExprPredicate(x.ref() == 0), [])
-        base = ExprPredicate(x.ref() <= 2)
-        goal = ExprPredicate(x.ref() >= -1)
-        split = SupportSplit(
-            base,
-            (x,),
-            (Implication(base & ExprPredicate(x.ref() > 0), goal),),
-            Implication(base & ExprPredicate(x.ref() == 0), goal),
-        )
-        cert = CompositionalCertificate(
-            system=prog,
-            components=(prog,),
-            p=base,
-            q=goal,
-            fairness="weak",
-            proof=split,
-        )
-        res = check_compositional(cert)
+        bad, kw = _negative_split_variable(*small_stack)
+        res = check_compositional(bad, **kw)
         assert not res.ok
         assert "may be negative" in _failure_text(res)
 
     def test_tampered_branch_shape_fails(self, small_stack):
         """Rewriting a support-split branch to start from the wrong case
         must fail the branch-shape obligation."""
-        pa, cert = small_stack
-        split = _find_support_split(cert.proof)
-        assert split is not None
-        wrong = ExprPredicate(pa.system.var_named("done").ref() >= 0)
-        tampered = SupportSplit(
-            split.base,
-            split.split_vars,
-            (
-                Implication(wrong, split.positive_subs[0].rhs()),
-                *split.positive_subs[1:],
-            ),
-            split.zero_sub,
-        )
-        bad = dataclasses.replace(cert, proof=tampered)
-        res = check_compositional(bad, check_components=False)
+        bad, kw = _tampered_branch_shape(*small_stack)
+        res = check_compositional(bad, **kw)
         assert not res.ok
         text = _failure_text(res)
         assert "support-split branch 0" in text or "conclusion" in text
@@ -212,34 +275,133 @@ class TestRefusals:
     def test_membership_lie_fails(self, small_stack):
         """Dropping a component from the list must fail membership (its
         commands are in the system but unaccounted for)."""
-        pa, cert = small_stack
-        bad = dataclasses.replace(cert, components=cert.components[:-1])
-        res = check_compositional(bad, check_components=False)
+        bad, kw = _membership_lie(*small_stack)
+        res = check_compositional(bad, **kw)
         assert not res.ok
         assert any(f.path == "membership" for f in res.failures)
 
-    def test_unknown_rule_refused(self):
+    def test_unknown_rule_refused(self, small_stack):
         """A rule the compositional kernel has no local argument for is
         refused outright (never silently accepted)."""
-        from repro.core.rules import TransientBasis
+        bad, kw = _unknown_rule(*small_stack)
+        res = check_compositional(bad, **kw)
+        assert not res.ok
+        assert "refused" in _failure_text(res)
 
-        x = Var.shared("t", IntRange(0, 1))
-        flip = GuardedCommand("flip", x.ref() == 0, [(x, 1)])
-        prog = Program(
-            "T", [x], ExprPredicate(x.ref() == 0), [flip], fair=["flip"]
-        )
-        node = TransientBasis(ExprPredicate(x.ref() == 0))
+    def test_unreadable_write_set_is_refused(self, small_stack, monkeypatch):
+        """A command whose ``writes()`` raises must not be skipped by the
+        frame rule as if it wrote nothing: the check fails closed."""
+        pa, cert = small_stack
+        victim = "move[2]"
+        assert victim in {c.name for c in pa.system.commands}
+        honest = GuardedCommand.writes
+
+        def writes(self):
+            if self.name == victim:
+                raise RuntimeError("write set withheld")
+            return honest(self)
+
+        monkeypatch.setattr(GuardedCommand, "writes", writes)
+        res = check_compositional(cert, check_components=False)
+        assert not res.ok
+        refusal = [f for f in res.failures if f.path == "frame"]
+        assert len(refusal) == 1
+        assert victim in refusal[0].message
+        assert "refused" in refusal[0].message
+
+    def test_callable_predicates_are_not_frame_skipped(self):
+        """A callable predicate reports no variables, so the frame rule
+        would skip every command of its ``next`` obligation; the check
+        must refuse instead (``x = 0 next x = 0`` is false here)."""
+        from repro.core.predicates import FnPredicate
+        from repro.core.rules import PSP
+
+        x = Var.shared("x", IntRange(0, 3))
+        inc = GuardedCommand("inc", x.ref() < 3, [(x, x.ref() + 1)])
+        prog = Program("P", [x], ExprPredicate(x.ref() == 0), [inc], fair=["inc"])
+        base = ExprPredicate(x.ref() >= 0)
+        s = FnPredicate(lambda st: st[x] == 0, "x = 0")
+        t = FnPredicate(lambda st: st[x] == 0, "x is 0")
+        proof = PSP(Implication(base, base), s, t)
         cert = CompositionalCertificate(
             system=prog,
             components=(prog,),
-            p=node.lhs(),
-            q=node.rhs(),
+            p=proof.lhs(),
+            q=proof.rhs(),
             fairness="weak",
-            proof=node,
+            proof=proof,
         )
+        assert not proof.check(prog).ok  # the dense oracle's verdict
         res = check_compositional(cert)
         assert not res.ok
-        assert "refused" in _failure_text(res)
+        assert res.frame_skips == 0
+        assert "refused: psp next obligation" in _failure_text(res)
+
+
+# ---------------------------------------------------------------------------
+# Differential: the writer index against the brute-force scan
+# ---------------------------------------------------------------------------
+
+
+class _ScanWalker(_Walker):
+    """The reference walker: every ``next`` obligation scans all commands
+    for writers, and the transient candidates are sorted per node by
+    ``(not writes-region, name)``."""
+
+    def check_next(self, path, pre, post, label):
+        relevant = set(pre.variables()) | set(post.variables())
+        for cmd in self.system.commands:
+            if not (cmd.writes() & relevant):
+                self.result.frame_skips += 1
+                self.result.obligations_checked += 1
+                continue
+            res = self.kernel.check_wp(pre, cmd, post)
+            self.obligation(path, res, f"{label} (command {cmd.name})")
+
+    def _transient_candidates(self, region):
+        region_vars = set(region.variables())
+        return sorted(
+            (c for c in self.system.commands if c.name in self.system.fair_names),
+            key=lambda c: (not (c.writes() & region_vars), c.name),
+        )
+
+
+def _indexed_and_scanned(cert, monkeypatch, **kw):
+    indexed = check_compositional(cert, **kw)
+    with monkeypatch.context() as m:
+        m.setattr(compositional, "_Walker", _ScanWalker)
+        scanned = check_compositional(cert, **kw)
+    return indexed, scanned
+
+
+def _assert_same_work(indexed, scanned):
+    assert indexed.ok == scanned.ok
+    assert indexed.obligations_checked == scanned.obligations_checked
+    assert indexed.frame_skips == scanned.frame_skips
+    assert indexed.footprint_evaluations == scanned.footprint_evaluations
+    assert [(f.path, f.message) for f in indexed.failures] == [
+        (f.path, f.message) for f in scanned.failures
+    ]
+
+
+class TestWriterIndex:
+    @pytest.mark.parametrize("stages", range(3, 13))
+    def test_matches_scan_on_hetero_stacks(self, stages, monkeypatch):
+        pa = build_hetero_stack(stages, clients=2, total=2)
+        cert = build_delivery_certificate(pa)
+        indexed, scanned = _indexed_and_scanned(
+            cert, monkeypatch, check_components=False
+        )
+        assert indexed.ok, indexed.explain()
+        assert indexed.frame_skips > 0
+        _assert_same_work(indexed, scanned)
+
+    @pytest.mark.parametrize("fault", sorted(INJECTED_FAULTS))
+    def test_matches_scan_on_injected_faults(self, fault, small_stack, monkeypatch):
+        bad, kw = INJECTED_FAULTS[fault](*small_stack)
+        indexed, scanned = _indexed_and_scanned(bad, monkeypatch, **kw)
+        assert not indexed.ok
+        _assert_same_work(indexed, scanned)
 
 
 def _find_support_split(node):

@@ -132,6 +132,42 @@ class TestEnumDomain:
         vals = d.decode_array(np.array([1, 0, 1]))
         assert list(vals) == ["b", "a", "b"]
 
+    def test_encode_array_matches_index_of(self):
+        d = EnumDomain("p", ("a", "b", 7, None))
+        values = ["b", 7, "a", None, "b", "a"]
+        for arr in (
+            np.array(values, dtype=object),
+            d.decode_array(np.array([1, 2, 0, 3, 1, 0])),
+        ):
+            out = d.encode_array(arr)
+            assert out.dtype == np.int64
+            assert out.tolist() == [d.index_of(v) for v in values]
+        # A fixed-width string array (what a broadcast label becomes).
+        strings = np.array(["b", "a", "b"])
+        assert d.encode_array(strings).tolist() == [1, 0, 1]
+
+    def test_encode_array_empty(self):
+        d = EnumDomain("p", ("a", "b"))
+        out = d.encode_array(np.array([], dtype=object))
+        assert out.dtype == np.int64
+        assert out.shape == (0,)
+
+    def test_encode_array_non_label_raises_index_of_error(self):
+        d = EnumDomain("p", ("a", "b"))
+        with pytest.raises(DomainError) as per_element:
+            d.index_of("c")
+        with pytest.raises(DomainError) as vectorized:
+            d.encode_array(np.array(["a", "c", "b"], dtype=object))
+        assert str(vectorized.value) == str(per_element.value)
+
+    def test_encode_array_unhashable_raises(self):
+        d = EnumDomain("p", ("a", "b"))
+        values = np.empty(2, dtype=object)
+        values[0] = "a"
+        values[1] = ["a"]
+        with pytest.raises(DomainError):
+            d.encode_array(values)
+
     def test_equality_includes_name_and_labels(self):
         assert EnumDomain("p", ("a", "b")) == EnumDomain("p", ("a", "b"))
         assert EnumDomain("p", ("a", "b")) != EnumDomain("q", ("a", "b"))

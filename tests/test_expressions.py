@@ -11,10 +11,12 @@ from repro.core.expressions import (
     BoolConst,
     Const,
     EqE,
+    Expr,
     IntConst,
     Ite,
     Neg,
     Not,
+    VarRef,
     esum,
     iff,
     implies,
@@ -271,3 +273,116 @@ def test_random_exprs_scalar_vector_agree(x, y, b):
     scalar = expr.eval(s)
     vec = expr.eval_vec({X: np.array([x]), Y: np.array([y]), B: np.array([b])})
     assert np.asarray(vec)[0] == scalar
+
+
+# ---------------------------------------------------------------------------
+# Memoized derived facts: variables() and str() are computed once per node
+# and must never differ from an uncached walk, nor leak into identity.
+# ---------------------------------------------------------------------------
+
+
+def _uncached_variables(expr):
+    if isinstance(expr, VarRef):
+        return {expr.var}
+    out = set()
+    for child in expr.children():
+        out |= _uncached_variables(child)
+    return out
+
+
+def _uncached_text(expr, monkeypatch):
+    """Render with the memo-free printer: every child re-rendered."""
+
+    def fmt_child(self, child, *, strict=False):
+        text = child._fmt()
+        if child._prec < self._prec or (strict and child._prec == self._prec):
+            return f"({text})"
+        return text
+
+    with monkeypatch.context() as m:
+        m.setattr(Expr, "_fmt_child", fmt_child)
+        m.setattr(Expr, "__str__", lambda self: self._fmt())
+        return expr._fmt()
+
+
+def _fuzz_exprs(seeds):
+    """Guards, right-hand sides, initially, p, q and wp terms of the
+    generated fuzz cases."""
+    from repro.core.commands import AltCommand, GuardedCommand
+    from repro.gen.fuzz import fuzz_case
+
+    out = []
+    for seed in seeds:
+        case = fuzz_case(seed)
+        program = case.program
+        out += [case.p.expr, case.q.expr, program.init.as_expr()]
+        for cmd in program.commands:
+            if isinstance(cmd, GuardedCommand):
+                branches = [(cmd.guard, cmd.assignments)]
+            elif isinstance(cmd, AltCommand):
+                branches = list(cmd.branches)
+            else:
+                continue
+            for guard, assigns in branches:
+                out.append(guard)
+                out += [a.expr for a in assigns]
+            try:
+                out.append(cmd.wp(case.q).as_expr())
+            except ExpressionError:
+                pass  # a label assigned into a label comparison
+    return out
+
+
+class TestMemos:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_fuzz_exprs_match_uncached_walks(self, seed, monkeypatch):
+        for expr in _fuzz_exprs([seed]):
+            # A structural copy has fresh memo slots at every inner node.
+            fresh = expr.substitute({})
+            assert fresh.same_as(expr)
+            want_vars = _uncached_variables(expr)
+            want_text = _uncached_text(expr, monkeypatch)
+            for probe in (fresh, expr):
+                for _ in range(2):  # first access, then the memo
+                    assert probe.variables() == want_vars
+                    assert str(probe) == want_text
+            assert _uncached_text(fresh, monkeypatch) == want_text
+
+    def test_substitute_starts_without_memos(self):
+        e = land(X.ref() + 1 > Y.ref(), B.ref())
+        assert e.variables() == {X, Y, B}
+        assert str(e) == "x + 1 > y /\\ b"
+        s = e.substitute({X: Y.ref() + 2})
+        assert getattr(s, "_vars", None) is None
+        assert getattr(s, "_text", None) is None
+        assert s.variables() == {Y, B}
+        assert str(s) == "y + 2 + 1 > y /\\ b"
+        # The source's memos are untouched by its substitution instance.
+        assert e.variables() == {X, Y, B}
+        assert str(e) == "x + 1 > y /\\ b"
+
+    def test_wp_result_starts_without_memos(self, monkeypatch):
+        from repro.core.commands import GuardedCommand
+        from repro.core.predicates import ExprPredicate
+
+        post = ExprPredicate(land(X.ref() == 3, B.ref()))
+        assert post.variables() == {X, B}
+        assert post.describe() == "x = 3 /\\ b"
+        cmd = GuardedCommand("c", Y.ref() > 0, [(X, Y.ref() + 1)])
+        wp = cmd.wp(post)
+        assert wp.variables() == _uncached_variables(wp.as_expr()) == {X, Y, B}
+        assert wp.describe() == _uncached_text(wp.as_expr(), monkeypatch)
+        assert post.describe() == "x = 3 /\\ b"
+
+    def test_identity_ignores_memos(self):
+        a = ite(B.ref(), X.ref() + Y.ref(), minimum(X.ref(), 2)) > 1
+        b = ite(B.ref(), X.ref() + Y.ref(), minimum(X.ref(), 2)) > 1
+        key = b._key()
+        str(a)
+        a.variables()
+        assert a.same_as(b) and b.same_as(a)
+        assert a._key() == key == b._key()
+        str(b)
+        b.variables()
+        assert b._key() == key
+        assert not a.same_as(ite(B.ref(), X.ref(), minimum(X.ref(), 2)) > 1)
